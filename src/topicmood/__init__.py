@@ -18,7 +18,7 @@ from .pipeline import RunConfig, RunResult, StageError, TopicReport, emit_report
 from .sentiment import Lexicon, LexiconError, PolarityScore, load_lexicon, resolve_polarity, score_polarity
 from .svgplot import emit_tfn_svg
 from .topics import (
-    DocVector,
+    DocMatrix,
     TopicDistribution,
     TopicModel,
     cluster,

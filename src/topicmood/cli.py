@@ -5,58 +5,9 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .pipeline import RunConfig, StageError, emit_report, emit_tfn_svg, run_pipeline
-
-_FLAG_KEYS = {
-    "input", "format", "topics", "seed", "min-chars", "scale", "ramp", "temperature",
-    "n-terms", "stopwords", "lexicon", "vectors", "dist-matrix", "out", "report",
-    "svg", "svg-topics",
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="topicmood",
-        description="Aggregate per-topic social media sentiment into fuzzy numbers.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="execute the full pipeline on a corpus file")
-    run.add_argument("--config", help="key=value config file; explicit flags override it")
-    run.add_argument("--input", help="posts file (jsonl or csv)")
-    run.add_argument("--format", choices=["jsonl", "csv"], help="input format (default jsonl)")
-    run.add_argument("--topics", type=int, help="number of topics K")
-    run.add_argument("--seed", type=int, help="random seed (default 0)")
-    run.add_argument("--min-chars", type=int, help="minimum raw text length (default 60)")
-    run.add_argument("--scale", type=float, help="TFN support scaling constant (default 1.0)")
-    run.add_argument("--ramp", type=float, help="opinion concept ramp endpoint (default 0.2)")
-    run.add_argument("--temperature", type=float, help="soft assignment temperature (default 0.25)")
-    run.add_argument("--n-terms", type=int, help="top terms per topic (default 7)")
-    run.add_argument("--stopwords", help="stopword file (default: bundled English list)")
-    run.add_argument("--lexicon", help="lexicon file (default: bundled miniature lexicon)")
-    run.add_argument("--vectors", help="pre-computed document vectors (jsonl)")
-    run.add_argument("--dist-matrix", help="supplied topic distribution CSV (fixture mode)")
-    run.add_argument("--out", help="output directory (default ./out)")
-    run.add_argument("--report", choices=["json", "csv"], help="report format (default json)")
-    run.add_argument("--svg", action="store_true", default=None, help="also emit a TFN plot")
-    run.add_argument("--svg-topics", help="comma-separated topic ids to plot (default: all)")
-    return parser
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}, line {lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _FLAG_KEYS:
-            raise ValueError(f"{path}, line {lineno}: unknown key {key!r}")
-        values[key] = value.strip()
-    return values
 
 
 def _parse_bool(text: str) -> bool:
@@ -75,55 +26,86 @@ def _parse_topic_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"not a comma-separated topic id list: {text!r}") from None
 
 
+class _Flag(NamedTuple):
+    """One ``run`` option: a command-line flag and the same key in a config file."""
+
+    name: str
+    field: str  # RunConfig attribute it sets
+    cast: Callable[[str], object]  # parses its text; _parse_bool marks a switch
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+_FLAGS = (
+    _Flag("input", "input_path", str, "posts file (jsonl or csv)"),
+    _Flag("format", "input_format", str, "input format (default jsonl)", ("jsonl", "csv")),
+    _Flag("topics", "n_topics", int, "number of topics K"),
+    _Flag("seed", "seed", int, "random seed (default 0)"),
+    _Flag("min-chars", "min_chars", int, "minimum raw text length (default 60)"),
+    _Flag("scale", "scale", float, "TFN support scaling constant (default 1.0)"),
+    _Flag("ramp", "ramp", float, "opinion concept ramp endpoint (default 0.2)"),
+    _Flag("temperature", "temperature", float, "soft assignment temperature (default 0.25)"),
+    _Flag("n-terms", "n_terms", int, "top terms per topic (default 7)"),
+    _Flag("stopwords", "stopwords_path", str, "stopword file (default: bundled English list)"),
+    _Flag("lexicon", "lexicon_path", str, "lexicon file (default: bundled miniature lexicon)"),
+    _Flag("vectors", "vectors_path", str, "pre-computed document vectors (jsonl)"),
+    _Flag("dist-matrix", "dist_matrix_path", str, "supplied topic distribution CSV (fixture mode)"),
+    _Flag("out", "out_dir", str, "output directory (default ./out)"),
+    _Flag("report", "report_format", str, "report format (default json)", ("json", "csv")),
+    _Flag("svg", "emit_svg", _parse_bool, "also emit a TFN plot"),
+    _Flag("svg-topics", "svg_topics", _parse_topic_list,
+          "comma-separated topic ids to plot (default: all)"),
+)
+_FLAG_NAMES = {flag.name for flag in _FLAGS}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="topicmood",
+        description="Aggregate per-topic social media sentiment into fuzzy numbers.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    run = sub.add_parser("run", help="execute the full pipeline on a corpus file")
+    run.add_argument("--config", help="key=value config file; explicit flags override it")
+    for flag in _FLAGS:
+        if flag.cast is _parse_bool:
+            run.add_argument(f"--{flag.name}", action="store_true", default=None, help=flag.help)
+        else:
+            run.add_argument(
+                f"--{flag.name}", type=flag.cast, choices=flag.choices, help=flag.help
+            )
+    return parser
+
+
+def _read_config_file(path: str) -> dict[str, str]:
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}, line {lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _FLAG_NAMES:
+            raise ValueError(f"{path}, line {lineno}: unknown key {key!r}")
+        values[key] = value.strip()
+    return values
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    """Flag values, else config-file values, else the RunConfig defaults."""
     file_values = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag: str, cast=str):
-        cli_value = getattr(args, flag.replace("-", "_"))
-        if cli_value is not None:
-            return cli_value
-        if flag in file_values:
-            return cast(file_values[flag])
-        return None
-
-    input_path = pick("input")
-    if input_path is None:
+    values = {}
+    for flag in _FLAGS:
+        value = getattr(args, flag.name.replace("-", "_"))
+        if value is None and flag.name in file_values:
+            value = flag.cast(file_values[flag.name])
+        if value is not None:
+            values[flag.field] = value
+    if "input_path" not in values:
         raise ValueError("an input file is required (--input or config file)")
-
-    cfg = RunConfig(input_path=input_path)
-    if (v := pick("format")) is not None:
-        cfg.input_format = v
-    if (v := pick("topics", int)) is not None:
-        cfg.n_topics = v
-    if (v := pick("seed", int)) is not None:
-        cfg.seed = v
-    if (v := pick("min-chars", int)) is not None:
-        cfg.min_chars = v
-    if (v := pick("scale", float)) is not None:
-        cfg.scale = v
-    if (v := pick("ramp", float)) is not None:
-        cfg.ramp = v
-    if (v := pick("temperature", float)) is not None:
-        cfg.temperature = v
-    if (v := pick("n-terms", int)) is not None:
-        cfg.n_terms = v
-    if (v := pick("stopwords")) is not None:
-        cfg.stopwords_path = v
-    if (v := pick("lexicon")) is not None:
-        cfg.lexicon_path = v
-    if (v := pick("vectors")) is not None:
-        cfg.vectors_path = v
-    if (v := pick("dist-matrix")) is not None:
-        cfg.dist_matrix_path = v
-    if (v := pick("out")) is not None:
-        cfg.out_dir = v
-    if (v := pick("report")) is not None:
-        cfg.report_format = v
-    if (v := pick("svg", _parse_bool)) is not None:
-        cfg.emit_svg = v
-    if (v := pick("svg-topics", _parse_topic_list)) is not None:
-        cfg.svg_topics = v if isinstance(v, tuple) else _parse_topic_list(v)
-    return cfg
+    return RunConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

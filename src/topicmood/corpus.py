@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -52,8 +53,8 @@ class Post:
     def __post_init__(self):
         if not self.id:
             raise CorpusError("post id must be non-empty")
-        if self.weight <= 0:
-            raise CorpusError(f"post {self.id!r}: weight must be > 0, got {self.weight}")
+        if not 0 < self.weight < math.inf:
+            raise CorpusError(f"post {self.id!r}: weight must be finite and > 0, got {self.weight}")
         if self.polarity is not None and not -1.0 <= self.polarity <= 1.0:
             raise CorpusError(
                 f"post {self.id!r}: polarity must lie in [-1, 1], got {self.polarity}"
@@ -87,8 +88,8 @@ def _coerce_post(record: dict, where: str) -> Post:
     weight = record.get("weight", 1.0)
     if isinstance(weight, bool) or not isinstance(weight, (int, float)):
         raise CorpusError(f"{where}: field 'weight' must be a number")
-    if weight <= 0:
-        raise CorpusError(f"{where}: weight must be > 0, got {weight}")
+    if not 0 < weight < math.inf:
+        raise CorpusError(f"{where}: weight must be finite and > 0, got {weight}")
 
     polarity = record.get("polarity")
     if polarity is not None:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -175,14 +176,35 @@ def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
                 raise ValueError(f"{path}, line {lineno}: non-numeric probability") from None
             if any(v < 0 for v in values):
                 raise ValueError(f"{path}, line {lineno}: negative probability")
-            if abs(sum(values) - 1.0) > 1e-9:
+            total = sum(values)
+            if not math.isfinite(total):  # a NaN or inf cell
+                raise ValueError(f"{path}, line {lineno}: non-finite probability")
+            if abs(total - 1.0) > 1e-9:
                 raise ValueError(
-                    f"{path}, line {lineno}: probabilities sum to {sum(values)!r}, expected 1"
+                    f"{path}, line {lineno}: probabilities sum to {total!r}, expected 1"
                 )
             ids.append(post_id)
             rows.append(values)
 
     return topics_mod.TopicDistribution(tuple(ids), np.array(rows).reshape(len(rows), k))
+
+
+def _keep_live(supplied, source: str, all_ids: set[str], live_docs):
+    """Restrict a supplied per-post matrix to the rows of live documents.
+
+    ``supplied`` is a TopicDistribution or a DocMatrix. Returns the
+    restricted copy and the ids of the live documents it does not cover.
+    An id that names no input post is an error.
+    """
+    ids = supplied.post_ids
+    unknown = [i for i in ids if i not in all_ids]
+    if unknown:
+        raise ValueError(f"{source} references unknown post id {unknown[0]!r}")
+    live_ids = {d.post_id for d in live_docs}
+    keep = [i for i, pid in enumerate(ids) if pid in live_ids]
+    kept = replace(supplied, post_ids=tuple(ids[i] for i in keep), matrix=supplied.matrix[keep])
+    covered = set(kept.post_ids)
+    return kept, [d.post_id for d in live_docs if d.post_id not in covered]
 
 
 def run_pipeline(config: RunConfig) -> RunResult:
@@ -230,46 +252,28 @@ def run_pipeline(config: RunConfig) -> RunResult:
                     f"configured topic count {config.n_topics} disagrees with the "
                     f"supplied matrix ({full_dist.k} columns)"
                 )
-            unknown = [i for i in full_dist.post_ids if i not in all_ids]
-            if unknown:
-                raise ValueError(f"distribution matrix references unknown post id {unknown[0]!r}")
-            live_ids = {d.post_id for d in live_docs}
-            keep_rows = [i for i, pid in enumerate(full_dist.post_ids) if pid in live_ids]
-            covered = {full_dist.post_ids[i] for i in keep_rows}
-            excluded_ids = [d.post_id for d in live_docs if d.post_id not in covered]
-            dist = topics_mod.TopicDistribution(
-                tuple(full_dist.post_ids[i] for i in keep_rows),
-                full_dist.matrix[keep_rows, :].reshape(len(keep_rows), full_dist.k),
-            )
+            dist, excluded_ids = _keep_live(full_dist, "distribution matrix", all_ids, live_docs)
             k = dist.k
             hard = dist.matrix.argmax(axis=1)
-            doc_counts = [int((hard == kk).sum()) for kk in range(k)]
             top_terms: list[list[tuple[str, float]]] = [[] for _ in range(k)]
         else:
             k = config.n_topics
             if config.vectors_path is not None:
                 loaded = topics_mod.load_vectors(config.vectors_path)
-                unknown = [v.post_id for v in loaded if v.post_id not in all_ids]
-                if unknown:
-                    raise ValueError(f"vectors file references unknown post id {unknown[0]!r}")
-                live_ids = {d.post_id for d in live_docs}
-                vectors = [v for v in loaded if v.post_id in live_ids]
-                covered = {v.post_id for v in vectors}
-                excluded_ids = [d.post_id for d in live_docs if d.post_id not in covered]
+                vectors, excluded_ids = _keep_live(loaded, "vectors file", all_ids, live_docs)
             else:
                 vectors = topics_mod.vectorize(live_docs)
             if not vectors:
                 raise ValueError("no documents left for topic modeling")
             model = topics_mod.cluster(vectors, k, config.seed)
             grouped: list[list[corpus_mod.CleanDoc]] = [[] for _ in range(k)]
-            for vec in vectors:
-                grouped[model.cluster_of[vec.post_id]].append(doc_by_id[vec.post_id])
+            for pid in vectors.post_ids:
+                grouped[model.cluster_of[pid]].append(doc_by_id[pid])
             model.top_terms = topics_mod.ctfidf_top_terms(grouped, config.n_terms)
             top_terms = model.top_terms
             dist = topics_mod.soft_assign(vectors, model, config.temperature)
-            doc_counts = [
-                sum(1 for c in model.cluster_of.values() if c == kk) for kk in range(k)
-            ]
+            hard = list(model.cluster_of.values())
+        doc_counts = np.bincount(hard, minlength=k).tolist()
 
     with _stage("fuzzy"):
         prevalence = topics_mod.topic_prevalence(dist)

@@ -8,6 +8,7 @@ Posts that already carry a polarity value bypass the scorer entirely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -56,8 +57,10 @@ class Lexicon:
             if not -1.0 <= pol <= 1.0:
                 raise LexiconError(f"entry {word!r}: polarity {pol} outside [-1, 1]")
         for word, mult in self.intensifiers.items():
-            if mult <= 0:
-                raise LexiconError(f"intensifier {word!r}: multiplier must be > 0, got {mult}")
+            if not 0 < mult < math.inf:
+                raise LexiconError(
+                    f"intensifier {word!r}: multiplier must be finite and > 0, got {mult}"
+                )
         keys = set(self.entries)
         if keys & self.negators or keys & set(self.intensifiers) or self.negators & set(self.intensifiers):
             raise LexiconError("entries, negators and intensifiers must not share words")
@@ -134,8 +137,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
                     )
                 entries[word] = number
             else:
-                if number <= 0:
-                    raise LexiconError(f"{path}, line {lineno}: multiplier must be > 0")
+                if not 0 < number < math.inf:
+                    raise LexiconError(f"{path}, line {lineno}: multiplier must be finite and > 0")
                 intensifiers[word] = number
 
     return Lexicon(entries=entries, negators=frozenset(negators), intensifiers=intensifiers)

@@ -1,10 +1,11 @@
 """Topic discovery over cleaned documents.
 
-TF-IDF vectors feed a seeded spherical k-means; clusters are described by
-their top class-based TF-IDF terms and every document receives a soft
-topic distribution from a temperature softmax over centroid cosines.
-Pre-computed document vectors can be supplied instead of the built-in
-TF-IDF backend.
+Documents enter the topic stage as one :class:`DocMatrix` with unit-norm
+rows: TF-IDF weights over the corpus vocabulary, or pre-computed document
+vectors supplied instead of the built-in TF-IDF backend. The rows feed a
+seeded spherical k-means; clusters are described by their top class-based
+TF-IDF terms and every document receives a soft topic distribution from a
+temperature softmax over centroid cosines.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .corpus import CleanDoc
 
 __all__ = [
-    "DocVector",
+    "DocMatrix",
     "TopicModel",
     "TopicDistribution",
     "vectorize",
@@ -35,28 +36,36 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DocVector:
-    """Sparse document vector: term (or dimension name) -> weight.
+class DocMatrix:
+    """Documents as the rows of one feature matrix.
 
-    Vectors produced by :func:`vectorize` have non-negative weights and
-    unit L2 norm; vectors loaded from an external embedding file are only
-    guaranteed unit norm.
+    ``terms`` names the columns of a TF-IDF matrix and is empty for
+    supplied embeddings. :func:`vectorize` and :func:`load_vectors` build
+    rows of unit L2 norm, which :func:`cluster` and :func:`soft_assign`
+    rely on.
     """
 
-    post_id: str
-    values: dict[str, float]
+    post_ids: tuple[str, ...]
+    terms: tuple[str, ...]
+    matrix: np.ndarray  # shape (len(post_ids), n_features)
 
-    def norm(self) -> float:
-        return math.sqrt(math.fsum(v * v for v in self.values.values()))
+    def __post_init__(self):
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.post_ids):
+            raise ValueError(
+                f"matrix of shape {self.matrix.shape} does not hold one row per post id"
+            )
+
+    def __len__(self) -> int:
+        return len(self.post_ids)
 
 
 @dataclass
 class TopicModel:
-    """K cluster centroids over a fixed vocabulary plus hard assignments."""
+    """K cluster centroids over the documents' features plus hard assignments."""
 
     k: int
-    vocabulary: tuple[str, ...]
-    centroids: np.ndarray  # shape (k, len(vocabulary)), unit rows
+    vocabulary: tuple[str, ...]  # the DocMatrix terms; empty for embeddings
+    centroids: np.ndarray  # shape (k, n_features), unit rows
     cluster_of: dict[str, int]  # post_id -> cluster index in [0, k)
     top_terms: list[list[tuple[str, float]]] = field(default_factory=list)
 
@@ -96,8 +105,16 @@ class TopicDistribution:
         return self.matrix[:, topic]
 
 
-def vectorize(docs: Sequence[CleanDoc]) -> list[DocVector]:
-    """L2-normalized smoothed TF-IDF vectors over the corpus vocabulary.
+def _unit_rows(mat: np.ndarray) -> np.ndarray:
+    # The builders have already scaled each row to unit norm; this second
+    # pass rounds the rows once more, and the reports' last digits depend on it.
+    norms = np.linalg.norm(mat, axis=1)
+    norms[norms == 0] = 1.0
+    return mat / norms[:, None]
+
+
+def vectorize(docs: Sequence[CleanDoc]) -> DocMatrix:
+    """L2-normalized smoothed TF-IDF rows over the sorted corpus vocabulary.
 
     Weight of term t in a document is tf * (log((1 + D) / (1 + df)) + 1)
     with D the number of non-empty documents and df the number containing
@@ -113,25 +130,28 @@ def vectorize(docs: Sequence[CleanDoc]) -> list[DocVector]:
     for doc in non_empty:
         df.update(set(doc.tokens))
     idf = {t: math.log((1 + n_docs) / (1 + c)) + 1.0 for t, c in df.items()}
+    terms = tuple(sorted(df))
+    column = {t: j for j, t in enumerate(terms)}
 
-    vectors = []
-    for doc in non_empty:
+    mat = np.zeros((n_docs, len(terms)))
+    for row, doc in enumerate(non_empty):
         tf = Counter(doc.tokens)
         raw = {t: count * idf[t] for t, count in tf.items()}
         norm = math.sqrt(math.fsum(v * v for v in raw.values()))
-        vectors.append(DocVector(doc.post_id, {t: v / norm for t, v in raw.items()}))
-    return vectors
+        for t, v in raw.items():
+            mat[row, column[t]] = v / norm
+    return DocMatrix(tuple(d.post_id for d in non_empty), terms, _unit_rows(mat))
 
 
-def load_vectors(path: str | Path) -> list[DocVector]:
+def load_vectors(path: str | Path) -> DocMatrix:
     """Load pre-computed document vectors from a JSON-lines file.
 
-    Each line holds ``{"id": ..., "vector": [floats]}``. Vectors are
-    L2-normalized on load and keyed by synthetic dimension names so they
-    can flow through the same clustering code as TF-IDF vectors.
+    Each line holds ``{"id": ..., "vector": [floats]}``; ids must be
+    unique and all vectors of one length. Vectors are L2-normalized on
+    load and become the rows of a :class:`DocMatrix` without term names.
     """
     path = Path(path)
-    vectors: list[DocVector] = []
+    rows: dict[str, np.ndarray] = {}
     dim: int | None = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -147,6 +167,8 @@ def load_vectors(path: str | Path) -> list[DocVector]:
                 raise ValueError(
                     f"{path}, line {lineno}: expected fields 'id' and non-empty 'vector'"
                 )
+            if post_id in rows:
+                raise ValueError(f"{path}, line {lineno}: duplicate id {post_id!r}")
             if dim is None:
                 dim = len(values)
             elif len(values) != dim:
@@ -157,52 +179,26 @@ def load_vectors(path: str | Path) -> list[DocVector]:
             norm = float(np.linalg.norm(arr))
             if norm <= 0.0 or not np.isfinite(norm):
                 raise ValueError(f"{path}, line {lineno}: vector for {post_id!r} has no norm")
-            arr /= norm
-            width = len(str(dim - 1))
-            vectors.append(
-                DocVector(post_id, {f"d{i:0{width}d}": float(v) for i, v in enumerate(arr)})
-            )
-    return vectors
+            rows[post_id] = arr / norm
+    mat = np.array(list(rows.values())).reshape(len(rows), dim or 0)
+    return DocMatrix(tuple(rows), (), _unit_rows(mat))
 
 
-def _dense(vectors: Sequence[DocVector], vocabulary: tuple[str, ...]) -> np.ndarray:
-    index = {t: i for i, t in enumerate(vocabulary)}
-    mat = np.zeros((len(vectors), len(vocabulary)))
-    for row, vec in enumerate(vectors):
-        for term, value in vec.values.items():
-            col = index.get(term)
-            if col is not None:
-                mat[row, col] = value
-    return mat
-
-
-def _cosine_rows(mat: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1)
-    norms[norms == 0] = 1.0
-    return (mat / norms[:, None]) @ centroids.T
-
-
-def cluster(
-    vectors: Sequence[DocVector], k: int, seed: int, max_iters: int = 100
-) -> TopicModel:
+def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicModel:
     """Spherical k-means with seeded k-means++ initialization.
 
-    Distances are cosine-based (vectors and centroids are unit length, so
+    Distances are cosine-based (rows and centroids are unit length, so
     similarity is a dot product). Nearest-centroid ties break toward the
     lowest cluster index; a cluster that empties out is re-seeded with the
     most isolated document. The result is a deterministic function of
-    (vectors, k, seed).
+    (docs, k, seed).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > len(vectors):
-        raise ValueError(f"k = {k} exceeds the number of documents ({len(vectors)})")
+    if k > len(docs):
+        raise ValueError(f"k = {k} exceeds the number of documents ({len(docs)})")
 
-    vocabulary = tuple(sorted({t for v in vectors for t in v.values}))
-    mat = _dense(vectors, vocabulary)
-    norms = np.linalg.norm(mat, axis=1)
-    norms[norms == 0] = 1.0
-    mat = mat / norms[:, None]
+    mat = docs.matrix
     n = mat.shape[0]
     rng = np.random.default_rng(seed)
 
@@ -249,8 +245,8 @@ def cluster(
             if norm > 0:
                 centroids[kk] = mean / norm
 
-    cluster_of = {vec.post_id: int(labels[i]) for i, vec in enumerate(vectors)}
-    return TopicModel(k=k, vocabulary=vocabulary, centroids=centroids, cluster_of=cluster_of)
+    cluster_of = {post_id: int(labels[i]) for i, post_id in enumerate(docs.post_ids)}
+    return TopicModel(k=k, vocabulary=docs.terms, centroids=centroids, cluster_of=cluster_of)
 
 
 def ctfidf_weight(tf_tc: float, tf_t: float, avg_words: float) -> float:
@@ -300,24 +296,26 @@ def ctfidf_top_terms(
 
 
 def soft_assign(
-    vectors: Sequence[DocVector], model: TopicModel, temperature: float = 0.25
+    docs: DocMatrix, model: TopicModel, temperature: float = 0.25
 ) -> TopicDistribution:
     """Soft topic memberships from a softmax over centroid cosines.
 
-    Row i is softmax(cos(vector_i, centroid_k) / temperature); lower
-    temperatures sharpen rows toward the hard assignment.
+    Row i is softmax(cos(row_i, centroid_k) / temperature); lower
+    temperatures sharpen rows toward the hard assignment. ``docs`` must
+    have the features the model was clustered on.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if model.k < 1:
         raise ValueError("model has no centroids")
+    if docs.terms != model.vocabulary:
+        raise ValueError("documents and model have different features")
 
-    mat = _dense(vectors, model.vocabulary)
-    sims = _cosine_rows(mat, model.centroids) / temperature
+    sims = (docs.matrix @ model.centroids.T) / temperature
     sims -= sims.max(axis=1, keepdims=True)
     expd = np.exp(sims)
     dist = expd / expd.sum(axis=1, keepdims=True)
-    return TopicDistribution(tuple(v.post_id for v in vectors), dist)
+    return TopicDistribution(docs.post_ids, dist)
 
 
 def topic_prevalence(dist: TopicDistribution) -> np.ndarray:

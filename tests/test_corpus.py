@@ -37,6 +37,11 @@ class TestPostValidation:
         with pytest.raises(CorpusError):
             Post("x", "hello", weight=0.0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight(self, weight):
+        with pytest.raises(CorpusError, match="finite"):
+            Post("x", "hello", weight=weight)
+
     def test_bad_polarity(self):
         with pytest.raises(CorpusError):
             Post("x", "hello", polarity=1.5)
@@ -89,6 +94,16 @@ class TestLoadPostsJsonl:
         with pytest.raises(CorpusError, match="weight"):
             load_posts(path, "jsonl")
 
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+    def test_non_finite_weight_names_line(self, tmp_path, weight):
+        path = tmp_path / "posts.jsonl"
+        path.write_text(
+            '{"id": "a", "text": "x"}\n{"id": "b", "text": "y", "weight": %s}\n' % weight,
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusError, match="line 2: weight must be finite"):
+            load_posts(path, "jsonl")
+
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n{oops\n', encoding="utf-8")
@@ -133,6 +148,12 @@ class TestLoadPostsCsv:
         path = tmp_path / "posts.csv"
         path.write_text("id,text,weight\na,post one,1\nb,post two,heavy\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 3"):
+            load_posts(path, "csv")
+
+    def test_nan_weight_names_line(self, tmp_path):
+        path = tmp_path / "posts.csv"
+        path.write_text("id,text,weight\na,post one,1\nb,post two,nan\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="line 3: weight must be finite"):
             load_posts(path, "csv")
 
     def test_polarity_range_checked(self, tmp_path):

@@ -136,6 +136,8 @@ class TestLoadDistMatrix:
             ("post_id,t0,t1\na,0.5,x\n", "non-numeric"),
             ("post_id,t0,t1\na,0.5\n", "columns"),
             ("post_id,t0,t1\na,1.5,-0.5\n", "negative"),
+            ("post_id,t0,t1\na,nan,1.0\n", "line 2: non-finite"),
+            ("post_id,t0,t1\na,inf,0.0\n", "line 2: non-finite"),
             ("post_id\n", "no topic columns"),
         ],
     )

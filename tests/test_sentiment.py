@@ -38,6 +38,11 @@ class TestLexiconValidation:
         with pytest.raises(LexiconError):
             Lexicon(entries={}, intensifiers={"very": 0.0})
 
+    @pytest.mark.parametrize("mult", [float("nan"), float("inf")])
+    def test_intensifier_finite(self, mult):
+        with pytest.raises(LexiconError, match="finite"):
+            Lexicon(entries={}, intensifiers={"very": mult})
+
     def test_overlapping_word_sets(self):
         with pytest.raises(LexiconError, match="share"):
             Lexicon(entries={"not": 0.1}, negators=frozenset({"not"}))
@@ -77,6 +82,13 @@ class TestLoadLexicon:
         path = tmp_path / "lex.txt"
         path.write_text("good\t1.5\n", encoding="utf-8")
         with pytest.raises(LexiconError, match="line 1"):
+            load_lexicon(path)
+
+    @pytest.mark.parametrize("mult", ["nan", "inf", "0"])
+    def test_bad_multiplier_names_line(self, tmp_path, mult):
+        path = tmp_path / "lex.txt"
+        path.write_text(f"good\t0.7\n[intensifiers]\nvery\t{mult}\n", encoding="utf-8")
+        with pytest.raises(LexiconError, match="line 3: multiplier must be finite"):
             load_lexicon(path)
 
     def test_duplicate_word_names_both_lines(self, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from topicmood.corpus import CleanDoc
 from topicmood.topics import (
-    DocVector,
+    DocMatrix,
     TopicDistribution,
     TopicModel,
     cluster,
@@ -40,23 +40,25 @@ def two_group_docs(n_per_group=8):
 class TestVectorize:
     def test_identical_docs_get_identical_vectors(self):
         vecs = vectorize([doc("x", "a", "b"), doc("y", "a", "b")])
-        assert vecs[0].values == vecs[1].values
+        np.testing.assert_array_equal(vecs.matrix[0], vecs.matrix[1])
 
     def test_single_doc_equal_weights_unit_norm(self):
-        (vec,) = vectorize([doc("x", "alpha", "beta")])
-        assert vec.values["alpha"] == pytest.approx(vec.values["beta"])
-        assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+        vecs = vectorize([doc("x", "alpha", "beta")])
+        (row,) = vecs.matrix
+        vec = dict(zip(vecs.terms, row))
+        assert vec["alpha"] == pytest.approx(vec["beta"])
+        assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-9)
 
     def test_rare_term_gets_higher_idf(self):
         docs = [doc(f"d{i}", "common", *(["rare"] if i == 0 else [])) for i in range(5)]
         vecs = vectorize(docs)
-        v0 = vecs[0].values
+        v0 = dict(zip(vecs.terms, vecs.matrix[0]))
         # Equal term frequency inside doc 0, so the idf factor decides.
         assert v0["rare"] > v0["common"]
 
     def test_empty_docs_excluded(self):
         vecs = vectorize([doc("x", "word"), doc("y")])
-        assert [v.post_id for v in vecs] == ["x"]
+        assert vecs.post_ids == ("x",)
 
     def test_all_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -64,9 +66,9 @@ class TestVectorize:
 
     def test_norms_and_nonnegativity(self):
         docs = two_group_docs()
-        for vec in vectorize(docs):
-            assert vec.norm() == pytest.approx(1.0, abs=1e-9)
-            assert all(w >= 0 for w in vec.values.values())
+        for row in vectorize(docs).matrix:
+            assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-9)
+            assert all(w >= 0 for w in row)
 
 
 class TestCluster:
@@ -74,12 +76,7 @@ class TestCluster:
         vecs = vectorize(two_group_docs(3))
         model = cluster(vecs, 1, seed=5)
         assert set(model.cluster_of.values()) == {0}
-        mat = np.zeros((len(vecs), len(model.vocabulary)))
-        index = {t: i for i, t in enumerate(model.vocabulary)}
-        for r, vec in enumerate(vecs):
-            for term, w in vec.values.items():
-                mat[r, index[term]] = w
-        mean = mat.mean(axis=0)
+        mean = vecs.matrix.mean(axis=0)
         np.testing.assert_allclose(model.centroids[0], mean / np.linalg.norm(mean), atol=1e-12)
 
     def test_separates_disjoint_groups(self):
@@ -101,7 +98,7 @@ class TestCluster:
         docs = two_group_docs()
         vecs = vectorize(docs)
         base = cluster(vecs, 2, seed=7)
-        permuted = list(reversed(vecs))
+        permuted = DocMatrix(vecs.post_ids[::-1], vecs.terms, vecs.matrix[::-1])
         other = cluster(permuted, 2, seed=7)
 
         def partition(model):
@@ -209,12 +206,12 @@ class TestSoftAssign:
     def test_equidistant_vector_splits_evenly(self):
         model = unit_model(2)
         h = math.sqrt(0.5)
-        dist = soft_assign([DocVector("x", {"t0": h, "t1": h})], model, 0.25)
+        dist = soft_assign(DocMatrix(("x",), model.vocabulary, np.array([[h, h]])), model, 0.25)
         np.testing.assert_allclose(dist.matrix[0], [0.5, 0.5], atol=1e-12)
 
     def test_closed_form_at_temperature_tenth(self):
         model = unit_model(2)
-        dist = soft_assign([DocVector("x", {"t0": 1.0})], model, 0.1)
+        dist = soft_assign(DocMatrix(("x",), model.vocabulary, np.array([[1.0, 0.0]])), model, 0.1)
         expected = 1.0 / (1.0 + math.exp(-10.0))
         assert dist.matrix[0, 0] == pytest.approx(expected, abs=1e-12)
         assert dist.matrix[0, 1] == pytest.approx(1.0 - expected, abs=1e-12)
@@ -231,13 +228,15 @@ class TestSoftAssign:
         model = cluster(vecs, 2, seed=1)
         dist = soft_assign(vecs, model, 0.01)
         hard = dist.matrix.argmax(axis=1)
-        for i, vec in enumerate(vecs):
-            assert hard[i] == model.cluster_of[vec.post_id]
+        for i, post_id in enumerate(vecs.post_ids):
+            assert hard[i] == model.cluster_of[post_id]
             assert dist.matrix[i, hard[i]] > 0.999
 
     def test_invalid_temperature(self):
         with pytest.raises(ValueError):
-            soft_assign([DocVector("x", {"t0": 1.0})], unit_model(2), 0.0)
+            soft_assign(
+                DocMatrix(("x",), ("t0", "t1"), np.array([[1.0, 0.0]])), unit_model(2), 0.0
+            )
 
 
 class TestTopicDistribution:
@@ -291,16 +290,17 @@ class TestLoadVectors:
         ]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         vecs = load_vectors(path)
-        assert [v.post_id for v in vecs] == ["a", "b"]
-        assert vecs[0].norm() == pytest.approx(1.0, abs=1e-12)
-        assert vecs[0].values["d0"] == pytest.approx(0.6)
-        assert vecs[0].values["d1"] == pytest.approx(0.8)
+        assert vecs.post_ids == ("a", "b")
+        assert vecs.terms == ()
+        assert np.linalg.norm(vecs.matrix[0]) == pytest.approx(1.0, abs=1e-12)
+        assert vecs.matrix[0, 0] == pytest.approx(0.6)
+        assert vecs.matrix[0, 1] == pytest.approx(0.8)
 
     def test_negative_components_allowed(self, tmp_path):
         path = tmp_path / "vecs.jsonl"
         path.write_text(json.dumps({"id": "a", "vector": [-1.0, 1.0]}) + "\n", encoding="utf-8")
-        (vec,) = load_vectors(path)
-        assert vec.norm() == pytest.approx(1.0, abs=1e-12)
+        (row,) = load_vectors(path).matrix
+        assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "vecs.jsonl"
@@ -312,6 +312,18 @@ class TestLoadVectors:
             encoding="utf-8",
         )
         with pytest.raises(ValueError, match="line 2"):
+            load_vectors(path)
+
+    def test_duplicate_id_names_line(self, tmp_path):
+        path = tmp_path / "vecs.jsonl"
+        path.write_text(
+            json.dumps({"id": "a", "vector": [1.0, 0.0]})
+            + "\n"
+            + json.dumps({"id": "a", "vector": [0.0, 1.0]})
+            + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="line 2: duplicate id 'a'"):
             load_vectors(path)
 
     def test_zero_vector_rejected(self, tmp_path):
