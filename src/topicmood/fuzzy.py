@@ -4,6 +4,10 @@ Turns a set of polarity values with membership weights into a symmetric
 triangular fuzzy number (TFN) and reduces that TFN to a (positivity,
 negativity) tuple via the possibility measure against two piecewise-linear
 opinion concepts.
+
+Production aggregation (:func:`aggregate_topic`) runs in numpy.
+:class:`WeightedSample`, :func:`weighted_mean` and :func:`weighted_std` are
+the exactly rounded (``math.fsum``) references the tests compare it against.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "WeightedSample",
@@ -231,16 +237,49 @@ def aggregate_topic(
 
     The aggregation weight of post i is dist_column[i] * post_weights[i],
     so topic membership and the optional engagement multiplier combine
-    multiplicatively. Raises ValueError when every combined weight is zero.
+    multiplicatively. The core is the weighted mean and sigma the corrected
+    weighted standard deviation, with the formulas of :func:`weighted_mean`
+    and :func:`weighted_std`, computed in numpy; those two functions are the
+    exactly rounded references it is tested against. Raises ValueError on
+    unequal lengths, an empty sample, a non-finite value or weight, a
+    negative weight, or when every combined weight is zero.
     """
-    if post_weights is None:
-        combined = [float(d) for d in dist_column]
-    else:
-        if len(post_weights) != len(dist_column):
+    values = np.asarray(polarities, dtype=float)
+    weights = np.asarray(dist_column, dtype=float)
+    if post_weights is not None:
+        engagement = np.asarray(post_weights, dtype=float)
+        if len(engagement) != len(weights):
             raise ValueError("post_weights and dist_column must have equal length")
-        combined = [float(d) * float(w) for d, w in zip(dist_column, post_weights)]
-    sample = WeightedSample(polarities, combined)
-    core = weighted_mean(sample)
-    sigma = weighted_std(sample)
+        if not np.isfinite(engagement).all():
+            raise ValueError("post_weights must be finite")
+    if len(values) != len(weights):
+        raise ValueError(
+            f"values ({len(values)}) and weights ({len(weights)}) must have equal length"
+        )
+    if not len(values):
+        raise ValueError("sample must contain at least one value")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    if post_weights is not None:
+        weights = weights * engagement
+    if (weights < 0).any():
+        raise ValueError("weights must be non-negative")
+    total = weights.sum()
+    if not total > 0.0:
+        raise ValueError("total weight must be strictly positive")
+    if not np.isfinite(total):
+        raise ValueError("total weight must be finite")
+    # Elementwise products and numpy's pairwise sum, not a BLAS dot product:
+    # a multithreaded dot splits long vectors by thread count, which would
+    # make the last bits depend on the machine's BLAS settings.
+    core = float((weights * values).sum() / total)
+    m_active = np.count_nonzero(weights > 0)
+    if m_active == 1:
+        sigma = 0.0
+    else:
+        num = (weights * (values - core) ** 2).sum()
+        sigma = float(np.sqrt(num / (((m_active - 1) / m_active) * total)))
     tfn = build_tfn(core, sigma, scale)
     return tfn, conformity(tfn, ramp)

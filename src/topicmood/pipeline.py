@@ -156,7 +156,7 @@ def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
             raise ValueError(f"{path}: no topic columns")
 
         ids: list[str] = []
-        rows: list[list[float]] = []
+        rows: list[np.ndarray] = []
         seen: set[str] = set()
         for row in reader:
             lineno = reader.line_num
@@ -171,12 +171,15 @@ def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
                 raise ValueError(f"{path}, line {lineno}: duplicate post_id {post_id!r}")
             seen.add(post_id)
             try:
-                values = [float(cell) for cell in row[1:]]
+                cells = list(map(float, row[1:]))
             except ValueError:
                 raise ValueError(f"{path}, line {lineno}: non-numeric probability") from None
-            if any(v < 0 for v in values):
+            values = np.array(cells)
+            if (values < 0).any():
                 raise ValueError(f"{path}, line {lineno}: negative probability")
-            total = sum(values)
+            # Python's left-to-right sum: which rows pass the 1e-9 test, and the
+            # total an error reports, do not depend on numpy's summation order.
+            total = sum(cells)
             if not math.isfinite(total):  # a NaN or inf cell
                 raise ValueError(f"{path}, line {lineno}: non-finite probability")
             if abs(total - 1.0) > 1e-9:
@@ -277,17 +280,20 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
     with _stage("fuzzy"):
         prevalence = topics_mod.topic_prevalence(dist)
-        polarities = [scores[pid].value for pid in dist.post_ids]
-        post_weights = [post_by_id[pid].weight for pid in dist.post_ids]
+        polarities = np.array([scores[pid].value for pid in dist.post_ids], dtype=float)
+        post_weights = np.array([post_by_id[pid].weight for pid in dist.post_ids], dtype=float)
         reports = []
         for kk in range(k):
-            tfn, conf = aggregate_topic(
-                polarities,
-                dist.column(kk),
-                post_weights,
-                scale=config.scale,
-                ramp=config.ramp,
-            )
+            try:
+                tfn, conf = aggregate_topic(
+                    polarities,
+                    dist.column(kk),
+                    post_weights,
+                    scale=config.scale,
+                    ramp=config.ramp,
+                )
+            except ValueError as exc:
+                raise ValueError(f"topic {kk}: {exc}") from exc
             reports.append(
                 TopicReport(
                     topic_id=kk,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicmood.fuzzy import (
     TFN,
@@ -347,6 +349,96 @@ class TestAggregateTopic:
         with pytest.raises(ValueError):
             aggregate_topic([0.1, 0.2], [0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "polarities,column,post_weights",
+        [
+            ([0.1, float("nan")], [0.5, 0.5], None),
+            ([0.1, float("inf")], [0.5, 0.5], None),
+            ([0.1, 0.2], [0.5, float("nan")], None),
+            ([0.1, 0.2], [0.5, float("inf")], None),
+            ([0.1, 0.2], [0.5, 0.5], [1.0, float("nan")]),
+            ([0.1, 0.2], [0.5, 0.5], [1.0, float("inf")]),
+        ],
+        ids=["nan-value", "inf-value", "nan-weight", "inf-weight",
+             "nan-post-weight", "inf-post-weight"],
+    )
+    def test_non_finite_rejected(self, polarities, column, post_weights):
+        with pytest.raises(ValueError, match="finite"):
+            aggregate_topic(polarities, column, post_weights)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             aggregate_topic([0.1, 0.2], [0.5, 0.5], post_weights=(1.0,))
+
+
+POLARITY = st.floats(-1.0, 1.0)
+WEIGHT = st.floats(1e-6, 1e6)
+SCALE = st.floats(0.1, 5.0)
+# The possibility b / (p + b - m) can change by up to 1/p per unit change of
+# the TFN, so a ramp p near 0 would magnify last-bit differences past 1e-12.
+RAMP = st.floats(0.05, 1.0)
+
+
+@st.composite
+def weighted_samples(draw, single_active=False):
+    """(values, dist_column, post_weights) with at least one positive weight."""
+    n = draw(st.integers(1, 60))
+    values = draw(st.lists(POLARITY, min_size=n, max_size=n))
+    if single_active:
+        column = [0.0] * n
+    else:
+        column = draw(st.lists(st.just(0.0) | WEIGHT, min_size=n, max_size=n))
+    if not any(column):
+        column[draw(st.integers(0, n - 1))] = draw(WEIGHT)
+    post_weights = draw(st.none() | st.lists(st.floats(1.0, 100.0), min_size=n, max_size=n))
+    return values, column, post_weights
+
+
+def fsum_reference(values, column, post_weights, scale, ramp):
+    """The exactly rounded chain: WeightedSample, weighted_mean, weighted_std."""
+    weights = column if post_weights is None else [d * w for d, w in zip(column, post_weights)]
+    sample = WeightedSample(values, weights)
+    tfn = build_tfn(weighted_mean(sample), weighted_std(sample), scale)
+    return tfn, conformity(tfn, ramp), weights
+
+
+def assert_same_result(got, want, tol=1e-12):
+    (tfn, conf), (ref_tfn, ref_conf) = got, want
+    assert tfn.a == pytest.approx(ref_tfn.a, abs=tol)
+    assert tfn.m == pytest.approx(ref_tfn.m, abs=tol)
+    assert tfn.b == pytest.approx(ref_tfn.b, abs=tol)
+    assert conf.positivity == pytest.approx(ref_conf.positivity, abs=tol)
+    assert conf.negativity == pytest.approx(ref_conf.negativity, abs=tol)
+
+
+class TestAggregateTopicProperties:
+    """The numpy aggregation against the fsum references and the oracle."""
+
+    @settings(deadline=None)
+    @given(weighted_samples(), SCALE, RAMP)
+    def test_matches_fsum_reference_and_oracle(self, sample, scale, ramp):
+        values, column, post_weights = sample
+        got = aggregate_topic(values, column, post_weights, scale=scale, ramp=ramp)
+        ref_tfn, ref_conf, weights = fsum_reference(values, column, post_weights, scale, ramp)
+        assert_same_result(got, (ref_tfn, ref_conf))
+        mean, sigma = spreadsheet_weighted_stats(values, weights)
+        assert got[0].m == pytest.approx(mean, abs=1e-12)
+        assert got[0].b - got[0].m == pytest.approx(scale * sigma, abs=1e-12)
+
+    @settings(deadline=None)
+    @given(weighted_samples(single_active=True), SCALE, RAMP)
+    def test_single_active_weight_matches_reference(self, sample, scale, ramp):
+        values, column, post_weights = sample
+        got = aggregate_topic(values, column, post_weights, scale=scale, ramp=ramp)
+        ref_tfn, ref_conf, _ = fsum_reference(values, column, post_weights, scale, ramp)
+        assert_same_result(got, (ref_tfn, ref_conf))
+        assert got[0].is_degenerate
+
+    @settings(deadline=None)
+    @given(weighted_samples(), st.floats(1e-3, 1e3), SCALE, RAMP)
+    def test_weight_scaling_leaves_tfn_unchanged(self, sample, lam, scale, ramp):
+        values, column, post_weights = sample
+        base = aggregate_topic(values, column, post_weights, scale=scale, ramp=ramp)
+        scaled_column = [lam * d for d in column]
+        scaled = aggregate_topic(values, scaled_column, post_weights, scale=scale, ramp=ramp)
+        assert_same_result(scaled, base)

@@ -111,6 +111,17 @@ class TestFixtureMode:
             run_pipeline(cfg)
         assert err.value.stage == "topics"
 
+    def test_zero_weight_topic_names_topic(self, tmp_path):
+        posts_path, _ = write_table_fixture(tmp_path)
+        matrix_path = tmp_path / "zero.csv"
+        matrix_path.write_text(
+            "post_id,t0,t1,t2\np1,0.5,0.0,0.5\np2,1.0,0.0,0.0\np3,0.0,0.0,1.0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(StageError, match=r"\[fuzzy\] topic 1: total weight") as err:
+            run_pipeline(fixture_config(posts_path, matrix_path))
+        assert err.value.stage == "fuzzy"
+
     def test_matrix_with_unknown_post_id(self, tmp_path):
         posts_path, _ = write_table_fixture(tmp_path)
         matrix_path = tmp_path / "bad.csv"
