@@ -102,6 +102,23 @@ def _coerce_post(record: dict, where: str) -> Post:
     return Post(id=post_id, text=text, weight=float(weight), polarity=polarity)
 
 
+def _invalid_utf8(path: Path) -> CorpusError:
+    """The error for a file that is not valid UTF-8, naming the first bad line.
+
+    A text-mode file decodes ahead of the line being read, so the decoder's
+    position does not give the line; the file is decoded once more in full.
+    """
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        return CorpusError(
+            f"{path}, line {lineno}: invalid UTF-8 (byte 0x{raw[exc.start]:02x}: {exc.reason})"
+        )
+    return CorpusError(f"{path}: invalid UTF-8")
+
+
 def _iter_jsonl(path: Path):
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -155,9 +172,9 @@ def load_posts(path: str | Path, fmt: str = "jsonl") -> list[Post]:
         fmt: "jsonl" or "csv".
 
     Raises:
-        CorpusError: unreadable file, malformed record (message carries the
-            line number), duplicate id, non-positive weight, or polarity
-            outside [-1, 1].
+        CorpusError: unreadable file, invalid UTF-8 or malformed record
+            (both messages carry the line number), duplicate id,
+            non-positive weight, or polarity outside [-1, 1].
     """
     path = Path(path)
     if fmt == "jsonl":
@@ -177,6 +194,8 @@ def load_posts(path: str | Path, fmt: str = "jsonl") -> list[Post]:
             seen.add(post.id)
             posts.append(post)
         return posts
+    except UnicodeDecodeError:
+        raise _invalid_utf8(path) from None
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
 

@@ -88,10 +88,9 @@ class RunConfig:
             raise ValueError("a topic count is required unless a distribution matrix is supplied")
         if self.n_topics is not None and self.n_topics < 1:
             raise ValueError("topic count must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        if self.scale <= 0:
-            raise ValueError("scale must be > 0")
+        topics_mod.check_temperature(self.temperature)
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
         if not 0 < self.ramp <= 1:
             raise ValueError("ramp must lie in (0, 1]")
         if self.n_terms < 1:
@@ -362,7 +361,8 @@ def emit_report(
     The JSON document carries the config echo and run metadata alongside
     the topic array; the CSV holds one row per topic with fixed columns
     (topic_id, top_terms, prevalence, tfn_a, tfn_m, tfn_b, positivity,
-    negativity). Numbers are serialized at 6 decimal places.
+    negativity). Numbers are serialized at 6 decimal places. A non-finite
+    number in a JSON document raises ValueError and nothing is written.
     """
     path = Path(path)
     if fmt == "json":
@@ -371,7 +371,9 @@ def emit_report(
             "metadata": _round6(metadata or {}),
             "topics": [_report_dict(r) for r in reports],
         }
-        path.write_text(json.dumps(document, indent=2, ensure_ascii=False) + "\n", "utf-8")
+        # Strict JSON (RFC 8259): a NaN or infinity raises instead of being written.
+        text = json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False)
+        path.write_text(text + "\n", "utf-8")
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

@@ -1,11 +1,19 @@
 """Topic discovery over cleaned documents.
 
 Documents enter the topic stage as one :class:`DocMatrix` with unit-norm
-rows: TF-IDF weights over the corpus vocabulary, or pre-computed document
-vectors supplied instead of the built-in TF-IDF backend. The rows feed a
-seeded spherical k-means; clusters are described by their top class-based
-TF-IDF terms and every document receives a soft topic distribution from a
-temperature softmax over centroid cosines.
+rows: sparse TF-IDF weights over the corpus vocabulary, or pre-computed
+dense document vectors supplied instead of the built-in TF-IDF backend.
+The rows feed a seeded spherical k-means; clusters are described by their
+top class-based TF-IDF terms and every document receives a soft topic
+distribution from a temperature softmax over centroid cosines.
+
+Products of the rows with the centroids are taken one dense row block at
+a time. Blocks hold ``_BLOCK_ROWS`` rows and the remainder joins the last
+block, so no block is smaller than that and fewer than ``2 * _BLOCK_ROWS``
+rows form one block: the product over all rows at once. Every block must
+be large enough for BLAS to sum each dot product the way it does in one
+product over all rows; smaller blocks (single rows go to ``gemv``) can
+round differently and change the report bytes.
 """
 
 from __future__ import annotations
@@ -30,33 +38,100 @@ __all__ = [
     "cluster",
     "ctfidf_weight",
     "ctfidf_top_terms",
+    "check_temperature",
     "soft_assign",
     "topic_prevalence",
 ]
+
+
+# Row-block size for dense products; 64-row blocks were the smallest
+# checked to give bit-identical products with 1 and 2 OpenBLAS threads.
+_BLOCK_ROWS = 1024
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Row ranges of ``_BLOCK_ROWS`` rows, the remainder folded into the last."""
+    starts = [i * _BLOCK_ROWS for i in range(max(1, n // _BLOCK_ROWS))]
+    return list(zip(starts, starts[1:] + [n]))
 
 
 @dataclass(frozen=True)
 class DocMatrix:
     """Documents as the rows of one feature matrix.
 
-    ``terms`` names the columns of a TF-IDF matrix and is empty for
-    supplied embeddings. :func:`vectorize` and :func:`load_vectors` build
-    rows of unit L2 norm, which :func:`cluster` and :func:`soft_assign`
-    rely on.
+    TF-IDF rows from :func:`vectorize` are sparse: ``csr`` holds their CSR
+    triplets ``(indptr, indices, data)`` over the ``terms`` columns, and no
+    dense n x V array is built. Supplied embeddings from
+    :func:`load_vectors` are one dense ``matrix`` and have no term names.
+    Exactly one of the two is set. Both builders give rows of unit L2 norm,
+    which :func:`cluster` and :func:`soft_assign` rely on; they read the
+    rows through :meth:`rows`, :meth:`dots` and :meth:`label_sums` only.
     """
 
     post_ids: tuple[str, ...]
     terms: tuple[str, ...]
-    matrix: np.ndarray  # shape (len(post_ids), n_features)
+    matrix: np.ndarray | None = None  # dense, shape (len(post_ids), n_features)
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    _row_of: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.post_ids):
-            raise ValueError(
-                f"matrix of shape {self.matrix.shape} does not hold one row per post id"
-            )
+        n = len(self.post_ids)
+        if (self.matrix is None) == (self.csr is None):
+            raise ValueError("give either a dense matrix or CSR rows")
+        if self.matrix is not None:
+            if self.matrix.ndim != 2 or self.matrix.shape[0] != n:
+                raise ValueError(
+                    f"matrix of shape {self.matrix.shape} does not hold one row per post id"
+                )
+            return
+        indptr, indices, data = self.csr
+        if len(indptr) != n + 1 or not indptr[-1] == len(indices) == len(data):
+            raise ValueError("CSR triplets do not hold one row per post id")
+        object.__setattr__(self, "_row_of", np.repeat(np.arange(n), np.diff(indptr)))
 
     def __len__(self) -> int:
         return len(self.post_ids)
+
+    @property
+    def n_features(self) -> int:
+        return len(self.terms) if self.matrix is None else self.matrix.shape[1]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start`` to ``stop - 1`` as one dense array."""
+        if self.matrix is not None:
+            return self.matrix[start:stop]
+        indptr, indices, data = self.csr
+        lo, hi = indptr[start], indptr[stop]
+        block = np.zeros((stop - start, self.n_features))
+        block[self._row_of[lo:hi] - start, indices[lo:hi]] = data[lo:hi]
+        return block
+
+    def dots(self, j: int) -> np.ndarray:
+        """Dot product of every row with row ``j``.
+
+        Sparse rows sum their products over the shared terms in column
+        order (one ``bincount``), not in the order of BLAS ``gemv``; the
+        two can differ in the last bit.
+        """
+        if self.matrix is not None:
+            return self.matrix @ self.matrix[j]
+        _, indices, data = self.csr
+        row_j = self.rows(j, j + 1)[0]
+        return np.bincount(self._row_of, weights=data * row_j[indices], minlength=len(self))
+
+    def label_sums(self, labels: np.ndarray, k: int) -> np.ndarray:
+        """Per-label sums of the rows, shape (k, n_features).
+
+        Each sum adds its rows in row order, as a column sum of the
+        label's dense rows does, so sum / count rounds like their mean.
+        """
+        if self.matrix is not None:
+            # At embedding widths k masked sums beat one bincount over all n·d cells.
+            return np.array([self.matrix[labels == kk].sum(axis=0) for kk in range(k)])
+        _, indices, data = self.csr
+        cells = labels[self._row_of] * self.n_features + indices
+        sums = np.bincount(cells, weights=data, minlength=k * self.n_features)
+        return sums.reshape(k, self.n_features)
 
 
 @dataclass
@@ -106,8 +181,8 @@ class TopicDistribution:
 
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
-    # The builders have already scaled each row to unit norm; this second
-    # pass rounds the rows once more, and the reports' last digits depend on it.
+    # The rows have already been scaled to unit norm once; this second pass
+    # rounds them once more, and the reports' last digits depend on it.
     norms = np.linalg.norm(mat, axis=1)
     norms[norms == 0] = 1.0
     return mat / norms[:, None]
@@ -118,29 +193,47 @@ def vectorize(docs: Sequence[CleanDoc]) -> DocMatrix:
 
     Weight of term t in a document is tf * (log((1 + D) / (1 + df)) + 1)
     with D the number of non-empty documents and df the number containing
-    t. Empty documents are excluded from the output (callers detect them
-    by comparing lengths). Raises ValueError when every document is empty.
+    t. The rows are sparse (CSR, columns sorted within a row). Empty
+    documents are excluded from the output (callers detect them by
+    comparing lengths). Raises ValueError when every document is empty.
     """
     non_empty = [d for d in docs if d.tokens]
     if not non_empty:
         raise ValueError("all documents are empty after preprocessing")
 
     n_docs = len(non_empty)
-    df: Counter[str] = Counter()
-    for doc in non_empty:
-        df.update(set(doc.tokens))
-    idf = {t: math.log((1 + n_docs) / (1 + c)) + 1.0 for t, c in df.items()}
-    terms = tuple(sorted(df))
+    terms = tuple(sorted({t for doc in non_empty for t in doc.tokens}))
     column = {t: j for j, t in enumerate(terms)}
+    n_terms = len(terms)
 
-    mat = np.zeros((n_docs, len(terms)))
-    for row, doc in enumerate(non_empty):
-        tf = Counter(doc.tokens)
-        raw = {t: count * idf[t] for t, count in tf.items()}
-        norm = math.sqrt(math.fsum(v * v for v in raw.values()))
-        for t, v in raw.items():
-            mat[row, column[t]] = v / norm
-    return DocMatrix(tuple(d.post_id for d in non_empty), terms, _unit_rows(mat))
+    # One key row * V + column per token; the sorted unique keys are the CSR
+    # cells in row-major order, and their counts are the term frequencies.
+    lengths = [len(doc.tokens) for doc in non_empty]
+    token_cols = np.fromiter(
+        (column[t] for doc in non_empty for t in doc.tokens), dtype=np.int64, count=sum(lengths)
+    )
+    keys, tf = np.unique(
+        np.repeat(np.arange(n_docs), lengths) * n_terms + token_cols, return_counts=True
+    )
+    row_of, indices = np.divmod(keys, n_terms)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n_docs))))
+    df = np.bincount(indices, minlength=n_terms).tolist()
+    idf = np.array([math.log((1 + n_docs) / (1 + c)) + 1.0 for c in df])
+
+    raw = tf * idf[indices]
+    squares = (raw * raw).tolist()
+    # First pass: each row over its exactly rounded (fsum) norm.
+    norms = np.sqrt([math.fsum(squares[a:b]) for a, b in zip(indptr[:-1], indptr[1:])])
+    post_ids = tuple(d.post_id for d in non_empty)
+    once = DocMatrix(post_ids, terms, csr=(indptr, indices, raw / norms[row_of]))
+
+    # The second pass of _unit_rows, on dense row blocks: numpy's pairwise
+    # sum over a dense row groups terms by column position, so a norm over
+    # the non-zeros alone could round differently.
+    norms = np.concatenate(
+        [np.linalg.norm(once.rows(a, b), axis=1) for a, b in _row_blocks(n_docs)]
+    )
+    return DocMatrix(post_ids, terms, csr=(indptr, indices, once.csr[2] / norms[row_of]))
 
 
 def load_vectors(path: str | Path) -> DocMatrix:
@@ -184,28 +277,38 @@ def load_vectors(path: str | Path) -> DocMatrix:
     return DocMatrix(tuple(rows), (), _unit_rows(mat))
 
 
+def _similarities(docs: DocMatrix, centroids: np.ndarray) -> np.ndarray:
+    """Every row's dot product with every centroid, one row block at a time."""
+    sims = np.empty((len(docs), centroids.shape[0]))
+    for start, stop in _row_blocks(len(docs)):
+        sims[start:stop] = docs.rows(start, stop) @ centroids.T
+    return sims
+
+
 def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicModel:
     """Spherical k-means with seeded k-means++ initialization.
 
     Distances are cosine-based (rows and centroids are unit length, so
-    similarity is a dot product). Nearest-centroid ties break toward the
-    lowest cluster index; a cluster that empties out is re-seeded with the
-    most isolated document. The result is a deterministic function of
-    (docs, k, seed).
+    similarity is a dot product). Seeding distances come from
+    :meth:`DocMatrix.dots`, on the sparse rows for TF-IDF. The Lloyd
+    similarities are dense row-block products (see the module docstring),
+    and each centroid is the normalized mean of its members, summed in row
+    order. Nearest-centroid ties break toward the lowest cluster index; a
+    cluster that empties out is re-seeded with the most isolated document.
+    The result is a deterministic function of (docs, k, seed).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > len(docs):
         raise ValueError(f"k = {k} exceeds the number of documents ({len(docs)})")
 
-    mat = docs.matrix
-    n = mat.shape[0]
+    n = len(docs)
     rng = np.random.default_rng(seed)
 
     # k-means++ seeding on cosine distance.
     first = int(rng.integers(n))
     chosen = [first]
-    dist = np.maximum(1.0 - mat @ mat[first], 0.0)
+    dist = np.maximum(1.0 - docs.dots(first), 0.0)
     for _ in range(1, k):
         total = float(dist.sum())
         if total <= 1e-12:
@@ -213,12 +316,12 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
         else:
             nxt = int(rng.choice(n, p=dist / total))
         chosen.append(nxt)
-        dist = np.minimum(dist, np.maximum(1.0 - mat @ mat[nxt], 0.0))
-    centroids = mat[chosen].copy()
+        dist = np.minimum(dist, np.maximum(1.0 - docs.dots(nxt), 0.0))
+    centroids = np.vstack([docs.rows(j, j + 1) for j in chosen])
 
     labels = np.full(n, -1)
     for _ in range(max_iters):
-        sims = mat @ centroids.T
+        sims = _similarities(docs, centroids)
         new_labels = sims.argmax(axis=1)  # argmax takes the lowest index on ties
 
         # Re-seed empty clusters with the most isolated document, stealing
@@ -233,14 +336,13 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
                 counts[new_labels[pick]] -= 1
                 new_labels[pick] = kk
                 counts[kk] = 1
-                centroids[kk] = mat[pick]
+                centroids[kk] = docs.rows(pick, pick + 1)[0]
 
         if (new_labels == labels).all():
             break
         labels = new_labels
-        for kk in range(k):
-            members = mat[labels == kk]
-            mean = members.mean(axis=0)
+        means = docs.label_sums(labels, k) / counts[:, None]
+        for kk, mean in enumerate(means):
             norm = np.linalg.norm(mean)
             if norm > 0:
                 centroids[kk] = mean / norm
@@ -295,6 +397,18 @@ def ctfidf_top_terms(
     return result
 
 
+def check_temperature(temperature: float) -> None:
+    """Raise ValueError unless the softmax in :func:`soft_assign` stays finite.
+
+    Cosines lie in [-1, 1], so the scaled cosines differ by up to
+    2 / temperature; that spread must not overflow.
+    """
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+    if not math.isfinite(2.0 / temperature):
+        raise ValueError(f"temperature {temperature} is too small: 2 / temperature overflows")
+
+
 def soft_assign(
     docs: DocMatrix, model: TopicModel, temperature: float = 0.25
 ) -> TopicDistribution:
@@ -302,16 +416,16 @@ def soft_assign(
 
     Row i is softmax(cos(row_i, centroid_k) / temperature); lower
     temperatures sharpen rows toward the hard assignment. ``docs`` must
-    have the features the model was clustered on.
+    have the features the model was clustered on. The products are the
+    row-block products :func:`cluster` takes.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    check_temperature(temperature)
     if model.k < 1:
         raise ValueError("model has no centroids")
     if docs.terms != model.vocabulary:
         raise ValueError("documents and model have different features")
 
-    sims = (docs.matrix @ model.centroids.T) / temperature
+    sims = _similarities(docs, model.centroids) / temperature
     sims -= sims.max(axis=1, keepdims=True)
     expd = np.exp(sims)
     dist = expd / expd.sum(axis=1, keepdims=True)

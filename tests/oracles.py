@@ -49,3 +49,28 @@ def grid_possibility(a, m, b, kind, ramp):
     else:
         raise ValueError(kind)
     return float(np.minimum(tri, concept).max())
+
+
+def dense_tfidf(token_lists):
+    """Smoothed TF-IDF rows built on one dense n x V array.
+
+    Returns the sorted vocabulary and the matrix whose rows follow the
+    non-empty token lists. Weight of term t is tf * (ln((1 + D) / (1 + df)) + 1);
+    each row is divided by its exactly summed (fsum) norm, then the whole
+    matrix once more by numpy's row norms.
+    """
+    docs = [tokens for tokens in token_lists if tokens]
+    n_docs = len(docs)
+    terms = sorted({t for tokens in docs for t in tokens})
+    column = {t: j for j, t in enumerate(terms)}
+    df = {t: sum(1 for tokens in docs if t in tokens) for t in terms}
+    mat = np.zeros((n_docs, len(terms)))
+    for i, tokens in enumerate(docs):
+        tf = {}
+        for t in tokens:
+            tf[t] = tf.get(t, 0) + 1
+        raw = {t: c * (math.log((1 + n_docs) / (1 + df[t])) + 1.0) for t, c in tf.items()}
+        norm = math.sqrt(math.fsum(v * v for v in raw.values()))
+        for t, v in raw.items():
+            mat[i, column[t]] = v / norm
+    return terms, mat / np.linalg.norm(mat, axis=1)[:, None]

@@ -10,7 +10,7 @@ import pytest
 
 from topicmood.cli import main
 
-from synthdata import three_group_records, write_jsonl, write_table_fixture
+from synthdata import many_group_records, three_group_records, write_jsonl, write_table_fixture
 
 
 @pytest.fixture()
@@ -85,6 +85,26 @@ class TestRunCommand:
         assert code == 1
         assert "[corpus]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--temperature", "nan"),
+            ("--temperature", "inf"),
+            ("--temperature", "1e-320"),  # 1 / temperature overflows
+            ("--scale", "nan"),
+            ("--scale", "inf"),
+            ("--ramp", "nan"),
+        ],
+    )
+    def test_non_finite_setting_fails_in_config_stage(
+        self, corpus_path, tmp_path, capsys, flag, value
+    ):
+        out_dir = tmp_path / "out"
+        assert main(run_args(corpus_path, out_dir, flag, value)) == 1
+        err = capsys.readouterr().err
+        assert "[config]" in err and flag[2:] in err
+        assert not (out_dir / "report.json").exists()
+
     def test_missing_topics_fails_in_config_stage(self, corpus_path, capsys):
         code = main(["run", "--input", str(corpus_path)])
         assert code == 1
@@ -121,17 +141,52 @@ class TestConfigFile:
         assert "[config]" in capsys.readouterr().err
 
 
+def src_env(**extra):
+    """The environment of a child interpreter that imports this checkout's src/."""
+    env = dict(os.environ, **extra)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 class TestModuleInvocation:
     def test_python_dash_m_entry(self, corpus_path, tmp_path):
         out_dir = tmp_path / "out"
-        env = dict(os.environ)
-        src = Path(__file__).resolve().parents[1] / "src"
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-m", "topicmood", *run_args(corpus_path, out_dir)],
             capture_output=True,
             text=True,
-            env=env,
+            env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert (out_dir / "report.json").exists()
+
+    def test_import_does_not_load_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, topicmood, topicmood.cli; sys.exit('scipy' in sys.modules)"],
+            env=src_env(),
+        )
+        assert proc.returncode == 0
+
+
+class TestBlasThreads:
+    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 2,500 posts form two row blocks (1,024 and 1,476 rows).
+        corpus = write_jsonl(tmp_path / "posts.jsonl", many_group_records(2500, 42))
+        out_dir = tmp_path / "out"
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "topicmood", "run", "--input", str(corpus),
+                 "--topics", "42", "--seed", "3", "--svg", "--out", str(out_dir)],
+                capture_output=True,
+                text=True,
+                env=src_env(OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(
+                ((out_dir / "report.json").read_bytes(), (out_dir / "tfns.svg").read_bytes())
+            )
+        assert json.loads(outputs[0][0])["metadata"]["contributing"] == 2500
+        assert outputs[0] == outputs[1]

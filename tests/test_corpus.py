@@ -110,6 +110,12 @@ class TestLoadPostsJsonl:
         with pytest.raises(CorpusError, match="line 2"):
             load_posts(path, "jsonl")
 
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "x"}\n{"id": "b", "text": "caf\xff"}\n')
+        with pytest.raises(CorpusError, match=r"posts\.jsonl, line 2: invalid UTF-8"):
+            load_posts(path, "jsonl")
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n\n{"id": "b", "text": "y"}\n', encoding="utf-8")
@@ -154,6 +160,13 @@ class TestLoadPostsCsv:
         path = tmp_path / "posts.csv"
         path.write_text("id,text,weight\na,post one,1\nb,post two,nan\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 3: weight must be finite"):
+            load_posts(path, "csv")
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "posts.csv"
+        path.write_bytes(b'id,text\na,"one\ntwo"\nb,caf\xe9\n')
+        # The quoted field spans lines 2-3, so the bad byte is on line 4.
+        with pytest.raises(CorpusError, match=r"posts\.csv, line 4: invalid UTF-8"):
             load_posts(path, "csv")
 
     def test_polarity_range_checked(self, tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -358,6 +359,16 @@ class TestEmitReport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], "yaml", tmp_path / "r.yaml")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_number_never_written(self, tmp_path, value):
+        report = replace(sample_reports()[0], prevalence=value)
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            emit_report([report], "json", path)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            emit_report([], "json", path, config={"temperature": value})
+        assert not path.exists()
 
 
 class TestEmitTfnSvg:

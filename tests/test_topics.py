@@ -2,11 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from topicmood.corpus import CleanDoc
+from topicmood import topics
+from topicmood.corpus import CleanDoc, Post, default_stopwords, preprocess
 from topicmood.topics import (
     DocMatrix,
     TopicDistribution,
@@ -19,6 +21,9 @@ from topicmood.topics import (
     topic_prevalence,
     vectorize,
 )
+
+from oracles import dense_tfidf
+from synthdata import many_group_records
 
 
 def doc(post_id, *tokens):
@@ -40,11 +45,11 @@ def two_group_docs(n_per_group=8):
 class TestVectorize:
     def test_identical_docs_get_identical_vectors(self):
         vecs = vectorize([doc("x", "a", "b"), doc("y", "a", "b")])
-        np.testing.assert_array_equal(vecs.matrix[0], vecs.matrix[1])
+        np.testing.assert_array_equal(vecs.rows(0, 1), vecs.rows(1, 2))
 
     def test_single_doc_equal_weights_unit_norm(self):
         vecs = vectorize([doc("x", "alpha", "beta")])
-        (row,) = vecs.matrix
+        (row,) = vecs.rows(0, 1)
         vec = dict(zip(vecs.terms, row))
         assert vec["alpha"] == pytest.approx(vec["beta"])
         assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-9)
@@ -52,7 +57,7 @@ class TestVectorize:
     def test_rare_term_gets_higher_idf(self):
         docs = [doc(f"d{i}", "common", *(["rare"] if i == 0 else [])) for i in range(5)]
         vecs = vectorize(docs)
-        v0 = dict(zip(vecs.terms, vecs.matrix[0]))
+        v0 = dict(zip(vecs.terms, vecs.rows(0, 1)[0]))
         # Equal term frequency inside doc 0, so the idf factor decides.
         assert v0["rare"] > v0["common"]
 
@@ -66,7 +71,8 @@ class TestVectorize:
 
     def test_norms_and_nonnegativity(self):
         docs = two_group_docs()
-        for row in vectorize(docs).matrix:
+        vecs = vectorize(docs)
+        for row in vecs.rows(0, len(vecs)):
             assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-9)
             assert all(w >= 0 for w in row)
 
@@ -76,7 +82,7 @@ class TestCluster:
         vecs = vectorize(two_group_docs(3))
         model = cluster(vecs, 1, seed=5)
         assert set(model.cluster_of.values()) == {0}
-        mean = vecs.matrix.mean(axis=0)
+        mean = vecs.rows(0, len(vecs)).mean(axis=0)
         np.testing.assert_allclose(model.centroids[0], mean / np.linalg.norm(mean), atol=1e-12)
 
     def test_separates_disjoint_groups(self):
@@ -98,7 +104,7 @@ class TestCluster:
         docs = two_group_docs()
         vecs = vectorize(docs)
         base = cluster(vecs, 2, seed=7)
-        permuted = DocMatrix(vecs.post_ids[::-1], vecs.terms, vecs.matrix[::-1])
+        permuted = DocMatrix(vecs.post_ids[::-1], vecs.terms, vecs.rows(0, len(vecs))[::-1])
         other = cluster(permuted, 2, seed=7)
 
         def partition(model):
@@ -131,6 +137,98 @@ class TestCluster:
             for seed in range(12):
                 model = cluster(vecs, k, seed)
                 assert len(set(model.cluster_of.values())) == k, (k, seed)
+
+
+def synth_docs(n_docs, n_groups):
+    stopwords = default_stopwords()
+    return [
+        preprocess(Post(r["id"], r["text"]), stopwords)
+        for r in many_group_records(n_docs, n_groups)
+    ]
+
+
+def duplicate_heavy_docs():
+    rng = np.random.default_rng(0)
+    return [doc(f"e{i}", *(str(t) for t in rng.choice(["aa", "bb"], 3))) for i in range(8)]
+
+
+class TestSparseRows:
+    """CSR TF-IDF rows give the bytes that the same rows stored dense give."""
+
+    def test_row_blocks(self):
+        b = topics._BLOCK_ROWS
+        assert topics._row_blocks(0) == [(0, 0)]
+        assert topics._row_blocks(b - 1) == [(0, b - 1)]
+        assert topics._row_blocks(2 * b - 1) == [(0, 2 * b - 1)]
+        assert topics._row_blocks(2 * b) == [(0, b), (b, 2 * b)]
+        assert topics._row_blocks(2500) == [(0, b), (b, 2500)]
+
+    @pytest.mark.parametrize("n_docs", [40, 2500])
+    def test_densified_rows_match_dense_reference(self, n_docs):
+        docs = synth_docs(n_docs, 42) + [doc("empty")]
+        vecs = vectorize(docs)
+        terms, ref = dense_tfidf([d.tokens for d in docs])
+        assert vecs.terms == tuple(terms)
+        assert vecs.csr is not None and vecs.matrix is None
+        np.testing.assert_array_equal(vecs.rows(0, len(vecs)), ref)
+        indptr, indices, data = vecs.csr
+        assert len(data) == np.count_nonzero(ref)
+        for a, b in zip(indptr[:-1], indptr[1:]):
+            assert (np.diff(indices[a:b]) > 0).all()
+
+    def test_dots_match_dense_products(self):
+        vecs = vectorize(synth_docs(300, 7))
+        dense = vecs.rows(0, len(vecs))
+        for j in (0, 17, 299):
+            np.testing.assert_allclose(vecs.dots(j), dense @ dense[j], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("case", ["below-one-block", "two-blocks", "re-seed"])
+    def test_cluster_and_soft_assign_match_dense_rows(self, case):
+        if case == "below-one-block":
+            vecs, k = vectorize(synth_docs(300, 7)), 7
+        elif case == "two-blocks":
+            # 2,500 rows: a 1,024-row block and a 1,476-row block.
+            vecs, k = vectorize(synth_docs(2500, 42)), 42
+            assert len(topics._row_blocks(len(vecs))) == 2
+        else:
+            # 8 documents with at most 4 distinct rows: k = 7 seeds a
+            # duplicate centroid, which loses its ties and must be re-seeded.
+            vecs, k = vectorize(duplicate_heavy_docs()), 7
+            assert len(np.unique(vecs.rows(0, len(vecs)), axis=0)) < k
+        dense = DocMatrix(vecs.post_ids, vecs.terms, vecs.rows(0, len(vecs)))
+        for seed in (0, 3):
+            sparse_model = cluster(vecs, k, seed)
+            dense_model = cluster(dense, k, seed)
+            assert sparse_model.cluster_of == dense_model.cluster_of
+            assert len(set(sparse_model.cluster_of.values())) == k
+            np.testing.assert_array_equal(sparse_model.centroids, dense_model.centroids)
+            np.testing.assert_array_equal(
+                soft_assign(vecs, sparse_model, 0.25).matrix,
+                soft_assign(dense, dense_model, 0.25).matrix,
+            )
+
+    def test_centroids_are_normalized_member_means(self):
+        vecs = vectorize(synth_docs(2500, 42))
+        model = cluster(vecs, 42, seed=1)
+        dense = vecs.rows(0, len(vecs))
+        labels = np.array([model.cluster_of[pid] for pid in vecs.post_ids])
+        for kk in range(42):
+            mean = dense[labels == kk].mean(axis=0)
+            np.testing.assert_array_equal(model.centroids[kk], mean / np.linalg.norm(mean))
+
+    def test_no_dense_doc_term_array(self):
+        # Dense row blocks stay below 2,048 rows, a small share of 12,000, so
+        # the peak stays below the size of one dense n x V array.
+        docs = synth_docs(12000, 42)
+        tracemalloc.start()
+        try:
+            vecs = vectorize(docs)
+            cluster(vecs, 8, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_bytes = len(vecs) * len(vecs.terms) * 8
+        assert peak < dense_bytes, (peak, dense_bytes)
 
 
 class TestCtfidf:
@@ -237,6 +335,22 @@ class TestSoftAssign:
             soft_assign(
                 DocMatrix(("x",), ("t0", "t1"), np.array([[1.0, 0.0]])), unit_model(2), 0.0
             )
+
+    @pytest.mark.parametrize(
+        # 1e-308: the reciprocal is finite, but 2 / temperature overflows.
+        "temperature", [-1.0, math.nan, math.inf, 1e-320, 1e-308]
+    )
+    def test_non_finite_or_overflowing_temperature_rejected(self, temperature):
+        docs = DocMatrix(("x",), ("t0", "t1"), np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="temperature"):
+            soft_assign(docs, unit_model(2), temperature)
+
+    def test_tiny_accepted_temperature_stays_finite(self):
+        # Opposite centroids: the scaled cosines span the full 2 / temperature.
+        model = TopicModel(2, ("t0", "t1"), np.array([[1.0, 0.0], [-1.0, 0.0]]), {})
+        docs = DocMatrix(("x", "y"), model.vocabulary, np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        dist = soft_assign(docs, model, 1e-307)
+        np.testing.assert_array_equal(dist.matrix, [[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestTopicDistribution:
