@@ -102,26 +102,30 @@ def _coerce_post(record: dict, where: str) -> Post:
     return Post(id=post_id, text=text, weight=float(weight), polarity=polarity)
 
 
-def _invalid_utf8(path: Path) -> CorpusError:
-    """The error for a file that is not valid UTF-8, naming the first bad line.
+def utf8_lines(fh, error: type[ValueError] = CorpusError):
+    """The lines of a file opened as UTF-8 text, in order.
 
-    A text-mode file decodes ahead of the line being read, so the decoder's
-    position does not give the line; the file is decoded once more in full.
+    Invalid UTF-8 raises ``error``: ``{path}, line N: invalid UTF-8 (byte
+    0x.., reason)``. A text-mode file decodes ahead of the line being read,
+    so the decoder's position does not give the line; only after the read
+    has failed is the file decoded once more in full to find it.
     """
-    raw = path.read_bytes()
     try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        return CorpusError(
-            f"{path}, line {lineno}: invalid UTF-8 (byte 0x{raw[exc.start]:02x}: {exc.reason})"
-        )
-    return CorpusError(f"{path}: invalid UTF-8")
+        yield from fh
+    except UnicodeDecodeError:
+        raw = Path(fh.name).read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = raw.count(b"\n", 0, exc.start) + 1
+            byte = f"byte 0x{raw[exc.start]:02x}: {exc.reason}"
+            raise error(f"{fh.name}, line {lineno}: invalid UTF-8 ({byte})") from None
+        raise error(f"{fh.name}: invalid UTF-8") from None
 
 
 def _iter_jsonl(path: Path):
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(utf8_lines(fh), start=1):
             if not line.strip():
                 continue
             try:
@@ -144,7 +148,7 @@ def _parse_csv_number(raw: str | None, name: str, where: str) -> float | None:
 
 def _iter_csv(path: Path):
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(utf8_lines(fh))
         if reader.fieldnames is None:
             return
         missing = {"id", "text"} - set(reader.fieldnames)
@@ -194,8 +198,6 @@ def load_posts(path: str | Path, fmt: str = "jsonl") -> list[Post]:
             seen.add(post.id)
             posts.append(post)
         return posts
-    except UnicodeDecodeError:
-        raise _invalid_utf8(path) from None
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
 
@@ -233,7 +235,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword file: one token per line, '#' lines are comments."""
     words = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line in utf8_lines(fh):
             word = line.strip()
             if not word or word.startswith("#"):
                 continue

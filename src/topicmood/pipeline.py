@@ -143,7 +143,7 @@ def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
     """
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(corpus_mod.utf8_lines(fh, ValueError))
         try:
             header = next(reader)
         except StopIteration:

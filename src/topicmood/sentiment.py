@@ -15,7 +15,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .corpus import CleanDoc, Post
+from .corpus import CleanDoc, Post, utf8_lines
 
 __all__ = [
     "Lexicon",
@@ -96,7 +96,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     section = "entries"
 
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(utf8_lines(fh, LexiconError), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

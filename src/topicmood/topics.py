@@ -14,6 +14,16 @@ rows form one block: the product over all rows at once. Every block must
 be large enough for BLAS to sum each dot product the way it does in one
 product over all rows; smaller blocks (single rows go to ``gemv``) can
 round differently and change the report bytes.
+
+The Lloyd steps screen with cheaper sums instead. An n x k screening
+matrix holds :meth:`DocMatrix.dots` of every row with every centroid: the
+k-means++ seeding dots first, then, after each update, fresh columns for
+the centroids that moved. Those sums round differently from the block
+products, but by at most about n_features * eps / 2 each, so a row whose
+best two screening values lie more than ``4 * n_features * eps`` apart
+has the block product's argmax. Every row block that holds a closer row
+is multiplied out exactly, so labels, ties and report bytes stay those
+of one full block product per step.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanDoc
+from .corpus import CleanDoc, utf8_lines
 
 __all__ = [
     "DocMatrix",
@@ -106,18 +116,26 @@ class DocMatrix:
         block[self._row_of[lo:hi] - start, indices[lo:hi]] = data[lo:hi]
         return block
 
-    def dots(self, j: int) -> np.ndarray:
-        """Dot product of every row with row ``j``.
+    def dots(self, vectors: np.ndarray) -> np.ndarray:
+        """Dot products of every row with dense ``vectors`` of n_features.
 
-        Sparse rows sum their products over the shared terms in column
-        order (one ``bincount``), not in the order of BLAS ``gemv``; the
-        two can differ in the last bit.
+        One vector gives shape (n,), a (m, n_features) stack gives (n, m).
+        Sparse rows sum their products over their non-zeros in column
+        order (one ``bincount`` per vector); dense rows take one BLAS
+        ``gemv`` for a vector, one ``gemm`` for a stack. Either order can
+        differ from the row-block products in the last bits.
+        :func:`cluster` uses these sums to seed and to screen the Lloyd
+        similarities.
         """
         if self.matrix is not None:
-            return self.matrix @ self.matrix[j]
+            return self.matrix @ vectors.T
+        if vectors.ndim == 2:
+            out = np.empty((len(self), len(vectors)))
+            for j, vector in enumerate(vectors):
+                out[:, j] = self.dots(vector)
+            return out
         _, indices, data = self.csr
-        row_j = self.rows(j, j + 1)[0]
-        return np.bincount(self._row_of, weights=data * row_j[indices], minlength=len(self))
+        return np.bincount(self._row_of, weights=data * vectors[indices], minlength=len(self))
 
     def label_sums(self, labels: np.ndarray, k: int) -> np.ndarray:
         """Per-label sums of the rows, shape (k, n_features).
@@ -247,7 +265,7 @@ def load_vectors(path: str | Path) -> DocMatrix:
     rows: dict[str, np.ndarray] = {}
     dim: int | None = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(utf8_lines(fh, ValueError), start=1):
             if not line.strip():
                 continue
             try:
@@ -281,21 +299,53 @@ def _similarities(docs: DocMatrix, centroids: np.ndarray) -> np.ndarray:
     """Every row's dot product with every centroid, one row block at a time."""
     sims = np.empty((len(docs), centroids.shape[0]))
     for start, stop in _row_blocks(len(docs)):
-        sims[start:stop] = docs.rows(start, stop) @ centroids.T
+        np.matmul(docs.rows(start, stop), centroids.T, out=sims[start:stop])
     return sims
+
+
+def _nearest(docs: DocMatrix, centroids: np.ndarray, sims: np.ndarray) -> np.ndarray:
+    """Index of every row's nearest centroid, as the row-block products give it.
+
+    ``sims`` screens the similarities: each cell may differ from the block
+    product by at most about n_features * eps / 2 (see the module docstring).
+    A row whose best two screening values lie more than ``4 * n_features *
+    eps`` apart keeps the screening argmax, which no such error can flip.
+    Every row block that holds a closer row is multiplied out exactly, so
+    ties and near-ties are decided as the block product decides them.
+    """
+    k = centroids.shape[0]
+    tolerance = 4 * docs.n_features * np.finfo(float).eps
+    labels = np.empty(len(docs), dtype=np.intp)
+    for start, stop in _row_blocks(len(docs)):
+        block = sims[start:stop]
+        if k > 1:
+            best_two = np.partition(block, k - 2, axis=1)[:, k - 2 :]
+            if (best_two[:, 1] - best_two[:, 0] <= tolerance).any():
+                block = docs.rows(start, stop) @ centroids.T
+        labels[start:stop] = block.argmax(axis=1)  # the lowest index on ties
+    return labels
 
 
 def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicModel:
     """Spherical k-means with seeded k-means++ initialization.
 
     Distances are cosine-based (rows and centroids are unit length, so
-    similarity is a dot product). Seeding distances come from
-    :meth:`DocMatrix.dots`, on the sparse rows for TF-IDF. The Lloyd
-    similarities are dense row-block products (see the module docstring),
-    and each centroid is the normalized mean of its members, summed in row
-    order. Nearest-centroid ties break toward the lowest cluster index; a
-    cluster that empties out is re-seeded with the most isolated document.
-    The result is a deterministic function of (docs, k, seed).
+    similarity is a dot product). Each centroid is the normalized mean of
+    its members, summed in row order. Labels are the argmax of the dense
+    row-block products (see the module docstring): nearest-centroid ties
+    break toward the lowest cluster index, and a cluster that empties out
+    is re-seeded with the most isolated document. The result is a
+    deterministic function of (docs, k, seed).
+
+    The labels come without a full product per iteration: an n x k
+    screening matrix holds :meth:`DocMatrix.dots` of every row with every
+    centroid, starting as the seeding dots, and after an update only the
+    columns of centroids that moved are taken again (a centroid that keeps
+    its members comes out bit-identical). :func:`_nearest` keeps the
+    screening argmax only where the best two values lie further apart
+    than rounding can bridge (``4 * n_features * eps``, see the module
+    docstring) and multiplies out exactly every row block where they do
+    not. A re-seed orders the documents by one full product.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -304,31 +354,33 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
 
     n = len(docs)
     rng = np.random.default_rng(seed)
+    sims = np.empty((n, k))  # sims[:, kk] screens centroid kk
 
     # k-means++ seeding on cosine distance.
-    first = int(rng.integers(n))
-    chosen = [first]
-    dist = np.maximum(1.0 - docs.dots(first), 0.0)
-    for _ in range(1, k):
-        total = float(dist.sum())
-        if total <= 1e-12:
-            nxt = int(rng.integers(n))
-        else:
-            nxt = int(rng.choice(n, p=dist / total))
-        chosen.append(nxt)
-        dist = np.minimum(dist, np.maximum(1.0 - docs.dots(nxt), 0.0))
-    centroids = np.vstack([docs.rows(j, j + 1) for j in chosen])
+    centroids = np.empty((k, docs.n_features))
+    nxt = int(rng.integers(n))
+    dist = np.inf  # each row's distance to its nearest seed so far
+    for kk in range(k):
+        if kk:
+            total = float(dist.sum())
+            if total <= 1e-12:
+                nxt = int(rng.integers(n))
+            else:
+                nxt = int(rng.choice(n, p=dist / total))
+        centroids[kk] = docs.rows(nxt, nxt + 1)[0]
+        sims[:, kk] = docs.dots(centroids[kk])
+        dist = np.minimum(dist, np.maximum(1.0 - sims[:, kk], 0.0))
 
     labels = np.full(n, -1)
     for _ in range(max_iters):
-        sims = _similarities(docs, centroids)
-        new_labels = sims.argmax(axis=1)  # argmax takes the lowest index on ties
+        new_labels = _nearest(docs, centroids, sims)
 
         # Re-seed empty clusters with the most isolated document, stealing
         # only from clusters that keep at least one member.
         counts = np.bincount(new_labels, minlength=k)
         if (counts == 0).any():
-            order = [int(i) for i in np.argsort(sims.max(axis=1), kind="stable")]
+            best = _similarities(docs, centroids).max(axis=1)
+            order = [int(i) for i in np.argsort(best, kind="stable")]
             for kk in range(k):
                 if counts[kk] > 0:
                     continue
@@ -337,15 +389,22 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
                 new_labels[pick] = kk
                 counts[kk] = 1
                 centroids[kk] = docs.rows(pick, pick + 1)[0]
+                sims[:, kk] = docs.dots(centroids[kk])
 
         if (new_labels == labels).all():
             break
         labels = new_labels
         means = docs.label_sums(labels, k) / counts[:, None]
+        moved = []  # only a moved centroid is screened again
         for kk, mean in enumerate(means):
             norm = np.linalg.norm(mean)
             if norm > 0:
-                centroids[kk] = mean / norm
+                mean = mean / norm
+                if (mean != centroids[kk]).any():
+                    centroids[kk] = mean
+                    moved.append(kk)
+        if moved:
+            sims[:, moved] = docs.dots(centroids[moved])
 
     cluster_of = {post_id: int(labels[i]) for i, post_id in enumerate(docs.post_ids)}
     return TopicModel(k=k, vocabulary=docs.terms, centroids=centroids, cluster_of=cluster_of)
@@ -400,13 +459,15 @@ def ctfidf_top_terms(
 def check_temperature(temperature: float) -> None:
     """Raise ValueError unless the softmax in :func:`soft_assign` stays finite.
 
-    Cosines lie in [-1, 1], so the scaled cosines differ by up to
-    2 / temperature; that spread must not overflow.
+    Cosines lie in [-1, 1] up to the rounding of unit rows (a row's cosine
+    with itself can exceed 1 by a few ulps), so the scaled cosines differ by a
+    little more than 2 / temperature. Keeping 4 / temperature finite leaves
+    room for that spread without an overflow.
     """
     if not 0 < temperature < math.inf:
         raise ValueError(f"temperature must be finite and > 0, got {temperature}")
-    if not math.isfinite(2.0 / temperature):
-        raise ValueError(f"temperature {temperature} is too small: 2 / temperature overflows")
+    if not math.isfinite(4.0 / temperature):
+        raise ValueError(f"temperature {temperature} is too small: 4 / temperature overflows")
 
 
 def soft_assign(
@@ -417,7 +478,7 @@ def soft_assign(
     Row i is softmax(cos(row_i, centroid_k) / temperature); lower
     temperatures sharpen rows toward the hard assignment. ``docs`` must
     have the features the model was clustered on. The products are the
-    row-block products :func:`cluster` takes.
+    row-block products that decide the labels in :func:`cluster`.
     """
     check_temperature(temperature)
     if model.k < 1:
@@ -425,10 +486,13 @@ def soft_assign(
     if docs.terms != model.vocabulary:
         raise ValueError("documents and model have different features")
 
-    sims = _similarities(docs, model.centroids) / temperature
-    sims -= sims.max(axis=1, keepdims=True)
-    expd = np.exp(sims)
-    dist = expd / expd.sum(axis=1, keepdims=True)
+    # The softmax runs in place: one n x k array, the values of the
+    # out-of-place expressions.
+    dist = _similarities(docs, model.centroids)
+    dist /= temperature
+    dist -= dist.max(axis=1, keepdims=True)
+    np.exp(dist, out=dist)
+    dist /= dist.sum(axis=1, keepdims=True)
     return TopicDistribution(docs.post_ids, dist)
 
 

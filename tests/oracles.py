@@ -74,3 +74,55 @@ def dense_tfidf(token_lists):
         for t, v in raw.items():
             mat[i, column[t]] = v / norm
     return terms, mat / np.linalg.norm(mat, axis=1)[:, None]
+
+
+def lloyd_reference(docs, k, seed, max_iters=100):
+    """Seeded spherical k-means with one full similarity product per step.
+
+    This is the Lloyd loop of ``topics.cluster`` before it kept a screening
+    matrix: every iteration multiplies out all rows against all centroids.
+    Bit-equality with the library rests on the same BLAS calls, so it takes
+    the library's row-block product and reads rows through the DocMatrix
+    accessors. Returns the labels and the centroids.
+    """
+    from topicmood.topics import _similarities
+
+    n = len(docs)
+    rng = np.random.default_rng(seed)
+    first = int(rng.integers(n))
+    chosen = [first]
+    dist = np.maximum(1.0 - docs.dots(docs.rows(first, first + 1)[0]), 0.0)
+    for _ in range(1, k):
+        total = float(dist.sum())
+        if total <= 1e-12:
+            nxt = int(rng.integers(n))
+        else:
+            nxt = int(rng.choice(n, p=dist / total))
+        chosen.append(nxt)
+        dist = np.minimum(dist, np.maximum(1.0 - docs.dots(docs.rows(nxt, nxt + 1)[0]), 0.0))
+    centroids = np.vstack([docs.rows(j, j + 1) for j in chosen])
+
+    labels = np.full(n, -1)
+    for _ in range(max_iters):
+        sims = _similarities(docs, centroids)
+        new_labels = sims.argmax(axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        if (counts == 0).any():
+            order = [int(i) for i in np.argsort(sims.max(axis=1), kind="stable")]
+            for kk in range(k):
+                if counts[kk] > 0:
+                    continue
+                pick = next(i for i in order if counts[new_labels[i]] > 1)
+                counts[new_labels[pick]] -= 1
+                new_labels[pick] = kk
+                counts[kk] = 1
+                centroids[kk] = docs.rows(pick, pick + 1)[0]
+        if (new_labels == labels).all():
+            break
+        labels = new_labels
+        means = docs.label_sums(labels, k) / counts[:, None]
+        for kk, mean in enumerate(means):
+            norm = np.linalg.norm(mean)
+            if norm > 0:
+                centroids[kk] = mean / norm
+    return labels, centroids

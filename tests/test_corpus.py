@@ -272,6 +272,12 @@ class TestStopwordFiles:
         path.write_text("# comment\nThe\n\nand\n", encoding="utf-8")
         assert load_stopwords(path) == {"the", "and"}
 
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"the\ncaf\xff\n")
+        with pytest.raises(CorpusError, match=r"stop\.txt, line 2: invalid UTF-8 \(byte 0xff"):
+            load_stopwords(path)
+
     def test_default_list_keeps_sentiment_markers(self):
         words = default_stopwords()
         assert "the" in words

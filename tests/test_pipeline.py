@@ -159,6 +159,13 @@ class TestLoadDistMatrix:
         with pytest.raises(ValueError, match=pattern):
             load_dist_matrix(path)
 
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"post_id,t0\ncaf\xff,1.0\n")
+        with pytest.raises(ValueError, match=r"m\.csv, line 2: invalid UTF-8 \(byte 0xff") as err:
+            load_dist_matrix(path)
+        assert not isinstance(err.value, UnicodeDecodeError)
+
 
 @pytest.fixture(scope="module")
 def corpus_path(tmp_path_factory):

@@ -91,6 +91,12 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="line 3: multiplier must be finite"):
             load_lexicon(path)
 
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_bytes(b"good\t0.7\ncaf\xff\t0.5\n")
+        with pytest.raises(LexiconError, match=r"lex\.txt, line 2: invalid UTF-8 \(byte 0xff"):
+            load_lexicon(path)
+
     def test_duplicate_word_names_both_lines(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("good\t0.7\ngood\t0.5\n", encoding="utf-8")

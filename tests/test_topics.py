@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicmood import topics
 from topicmood.corpus import CleanDoc, Post, default_stopwords, preprocess
@@ -22,7 +24,7 @@ from topicmood.topics import (
     vectorize,
 )
 
-from oracles import dense_tfidf
+from oracles import dense_tfidf, lloyd_reference
 from synthdata import many_group_records
 
 
@@ -180,7 +182,16 @@ class TestSparseRows:
         vecs = vectorize(synth_docs(300, 7))
         dense = vecs.rows(0, len(vecs))
         for j in (0, 17, 299):
-            np.testing.assert_allclose(vecs.dots(j), dense @ dense[j], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(vecs.dots(dense[j]), dense @ dense[j], rtol=0, atol=1e-15)
+
+    def test_dots_of_a_stack_match_one_vector_at_a_time(self):
+        vecs = vectorize(synth_docs(300, 7))
+        dense = vecs.rows(0, len(vecs))
+        stack = dense[[0, 17, 299]]
+        columns = np.column_stack([vecs.dots(v) for v in stack])
+        np.testing.assert_array_equal(vecs.dots(stack), columns)
+        as_dense = DocMatrix(vecs.post_ids, vecs.terms, dense)
+        np.testing.assert_allclose(as_dense.dots(stack), dense @ stack.T, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("case", ["below-one-block", "two-blocks", "re-seed"])
     def test_cluster_and_soft_assign_match_dense_rows(self, case):
@@ -229,6 +240,127 @@ class TestSparseRows:
             tracemalloc.stop()
         dense_bytes = len(vecs) * len(vecs.terms) * 8
         assert peak < dense_bytes, (peak, dense_bytes)
+
+
+def as_docs(mat, sparse):
+    """The rows of ``mat`` as a DocMatrix: CSR (no stored zeros) or dense."""
+    n, d = mat.shape
+    ids = tuple(f"d{i}" for i in range(n))
+    terms = tuple(f"t{j}" for j in range(d))
+    if not sparse:
+        return DocMatrix(ids, terms, mat)
+    rows, cols = np.nonzero(mat)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return DocMatrix(ids, terms, csr=(indptr, cols, mat[rows, cols]))
+
+
+def tied_rows(m=12, n_perm=30, n_probe=30):
+    """Unit rows whose first Lloyd step is full of ties.
+
+    Each of ``n_perm`` rows holds one permutation of the same m values, so
+    all have one norm. Each probe row is constant on those m columns plus
+    one private column: its cosines with every permutation row are equal
+    in exact arithmetic, and their rounded values depend on the order in
+    which each product sums its terms.
+    """
+    rng = np.random.default_rng(0)
+    values = rng.uniform(0.5, 1.5, m)
+    mat = np.zeros((n_perm + n_probe, m + n_probe))
+    for i in range(n_perm):
+        mat[i, :m] = rng.permutation(values)
+    mat[n_perm:, :m] = 0.5 / math.sqrt(m)
+    mat[np.arange(n_perm, n_perm + n_probe), m + np.arange(n_probe)] = math.sqrt(0.75)
+    return mat / np.linalg.norm(mat, axis=1)[:, None]
+
+
+def labels_of(model, docs):
+    return np.array([model.cluster_of[pid] for pid in docs.post_ids])
+
+
+class TestLloydOracle:
+    """``cluster`` gives the labels and centroids of one full product per step."""
+
+    @pytest.mark.parametrize(
+        "case", ["below-one-block", "two-blocks", "re-seed", "ties", "k=1", "k=n"]
+    )
+    @pytest.mark.parametrize("sparse", [True, False], ids=["csr", "dense"])
+    def test_matches_full_product_loop(self, case, sparse):
+        if case == "ties":
+            mat, k = tied_rows(), 8
+        elif case == "two-blocks":
+            # 2,500 rows: a 1,024-row block and a 1,476-row block.
+            vecs, k = vectorize(synth_docs(2500, 42)), 42
+        elif case in ("re-seed", "k=n"):
+            # 8 documents with at most 4 distinct rows: duplicate seeds lose
+            # their ties and must be re-seeded.
+            vecs = vectorize(duplicate_heavy_docs())
+            k = 7 if case == "re-seed" else len(vecs)
+        else:
+            vecs, k = vectorize(synth_docs(300, 7)), 7 if case == "below-one-block" else 1
+        if case != "ties":
+            mat = vecs.rows(0, len(vecs))
+        docs = as_docs(mat, sparse)
+        for seed in (0, 3):
+            labels, centroids = lloyd_reference(docs, k, seed)
+            model = cluster(docs, k, seed)
+            np.testing.assert_array_equal(labels_of(model, docs), labels)
+            np.testing.assert_array_equal(model.centroids, centroids)
+
+    def test_tied_rows_tie_exactly_in_first_step(self):
+        # The block products of the first step (centroids = seeds) tie
+        # exactly on some rows; the screening sums need not.
+        docs = as_docs(tied_rows(), True)
+        tied = 0
+        for seed in (0, 3):
+            _, seeds = lloyd_reference(docs, 8, seed, max_iters=0)
+            best_two = np.sort(docs.rows(0, len(docs)) @ seeds.T, axis=1)[:, -2:]
+            tied += int((best_two[:, 1] == best_two[:, 0]).sum())
+        assert tied > 0
+
+
+@st.composite
+def unit_rows(draw, max_rows=40, max_dim=12):
+    """A unit-row matrix; when drawn so, about 60 % of its cells are zero."""
+    n = draw(st.integers(1, max_rows))
+    d = draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        mat *= rng.random((n, d)) < 0.4
+        mat[np.arange(n), rng.integers(d, size=n)] = rng.normal(size=n) + 3.0
+    return mat / np.linalg.norm(mat, axis=1)[:, None]
+
+
+@st.composite
+def unit_centroids(draw, d):
+    """k unit rows; each may copy an earlier one, which makes exact ties."""
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centroids = rng.normal(size=(k, d))
+    centroids /= np.linalg.norm(centroids, axis=1)[:, None]
+    for j in range(1, k):
+        source = draw(st.integers(0, j))
+        centroids[j] = centroids[source]
+    return centroids
+
+
+def block_products(docs, centroids):
+    return np.vstack([docs.rows(a, b) @ centroids.T for a, b in topics._row_blocks(len(docs))])
+
+
+class TestNearest:
+    @settings(deadline=None)
+    @given(st.data(), unit_rows(), st.booleans())
+    def test_screen_within_quarter_tolerance_gives_block_argmax(self, data, mat, sparse):
+        docs = as_docs(mat, sparse)
+        centroids = data.draw(unit_centroids(docs.n_features))
+        exact = block_products(docs, centroids)
+        tolerance = 4 * docs.n_features * np.finfo(float).eps
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sims = exact + rng.uniform(-1.0, 1.0, exact.shape) * (tolerance / 4)
+        np.testing.assert_array_equal(
+            topics._nearest(docs, centroids, sims), exact.argmax(axis=1)
+        )
 
 
 class TestCtfidf:
@@ -353,6 +485,72 @@ class TestSoftAssign:
         np.testing.assert_array_equal(dist.matrix, [[1.0, 0.0], [0.0, 1.0]])
 
 
+def smallest_accepted_temperature():
+    """Bisect the bit patterns of the positive floats, which sort as the floats do."""
+
+    def accepted(bits):
+        try:
+            topics.check_temperature(float(np.int64(bits).view(np.float64)))
+        except ValueError:
+            return False
+        return True
+
+    rejected, admitted = 0, int(np.float64(1.0).view(np.int64))
+    while admitted - rejected > 1:
+        mid = (rejected + admitted) // 2
+        rejected, admitted = (rejected, mid) if accepted(mid) else (mid, admitted)
+    return float(np.int64(admitted).view(np.float64))
+
+
+SMALLEST_TEMPERATURE = smallest_accepted_temperature()
+
+
+class TestSoftAssignProperties:
+    def test_smallest_accepted_temperature_is_the_bound(self):
+        with pytest.raises(ValueError, match="temperature"):
+            topics.check_temperature(math.nextafter(SMALLEST_TEMPERATURE, 0.0))
+
+    def test_cosine_past_one_at_smallest_temperature(self):
+        # A unit row whose rounded cosine with itself exceeds 1 by two ulps,
+        # against itself and its opposite: the scaled cosines spread wider
+        # than 2 / temperature.
+        rows = np.random.default_rng(0).normal(size=(2000, 5))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        past_one = np.nextafter(1.0, 2.0)
+        row = next(x for x in rows if (x[None, :] @ np.vstack([x, -x]).T)[0, 0] > past_one)
+        docs = DocMatrix(("x",), tuple("abcde"), row[None, :])
+        model = TopicModel(2, docs.terms, np.vstack([row, -row]), {})
+        dist = soft_assign(docs, model, SMALLEST_TEMPERATURE)
+        np.testing.assert_array_equal(dist.matrix, [[1.0, 0.0]])
+
+    @settings(deadline=None)
+    @given(
+        st.data(),
+        unit_rows(),
+        st.booleans(),
+        st.one_of(
+            st.just(SMALLEST_TEMPERATURE),
+            st.floats(SMALLEST_TEMPERATURE, 1e300, allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_rows_finite_and_stochastic_at_every_accepted_temperature(
+        self, data, mat, sparse, temperature
+    ):
+        docs = as_docs(mat, sparse)
+        centroids = data.draw(unit_centroids(docs.n_features))
+        # Centroids equal and opposite to documents spread the cosines over
+        # all of [-1, 1], and past it by the rounding of the unit norms.
+        for j in range(len(centroids)):
+            sign = data.draw(st.sampled_from([0.0, 1.0, -1.0]))
+            if sign:
+                centroids[j] = sign * mat[data.draw(st.integers(0, len(mat) - 1))]
+        model = TopicModel(len(centroids), docs.terms, centroids, {})
+        dist = soft_assign(docs, model, temperature).matrix
+        assert np.isfinite(dist).all()
+        assert (dist >= 0).all()
+        np.testing.assert_allclose(dist.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
+
 class TestTopicDistribution:
     def test_row_sum_validation(self):
         with pytest.raises(ValueError, match="sums to"):
@@ -439,6 +637,14 @@ class TestLoadVectors:
         )
         with pytest.raises(ValueError, match="line 2: duplicate id 'a'"):
             load_vectors(path)
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "vecs.jsonl"
+        path.write_bytes(b'{"id": "a", "vector": [1.0]}\n{"id": "caf\xff", "vector": [1.0]}\n')
+        pattern = r"vecs\.jsonl, line 2: invalid UTF-8 \(byte 0xff"
+        with pytest.raises(ValueError, match=pattern) as err:
+            load_vectors(path)
+        assert not isinstance(err.value, UnicodeDecodeError)
 
     def test_zero_vector_rejected(self, tmp_path):
         path = tmp_path / "vecs.jsonl"
