@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from .corpus import utf8_lines
 from .pipeline import RunConfig, StageError, emit_report, emit_tfn_svg, run_pipeline
 
 
@@ -77,19 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}, line {lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _FLAG_NAMES:
-            raise ValueError(f"{path}, line {lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
+    """Each key's line number and value text."""
+    values: dict[str, tuple[int, str]] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(utf8_lines(fh, ValueError), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}, line {lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in _FLAG_NAMES:
+                raise ValueError(f"{path}, line {lineno}: unknown key {key!r}")
+            values[key] = lineno, value.strip()
     return values
 
 
@@ -100,7 +103,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for flag in _FLAGS:
         value = getattr(args, flag.name.replace("-", "_"))
         if value is None and flag.name in file_values:
-            value = flag.cast(file_values[flag.name])
+            lineno, text = file_values[flag.name]
+            try:
+                value = flag.cast(text)
+            except ValueError as exc:
+                raise ValueError(f"{args.config}, line {lineno}: {exc}") from None
         if value is not None:
             values[flag.field] = value
     if "input_path" not in values:
@@ -114,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             config = _build_config(args)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise StageError("config", str(exc)) from exc
 
         result = run_pipeline(config)

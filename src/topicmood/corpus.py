@@ -123,17 +123,18 @@ def utf8_lines(fh, error: type[ValueError] = CorpusError):
         raise error(f"{fh.name}: invalid UTF-8") from None
 
 
-def _iter_jsonl(path: Path):
+def _iter_jsonl(path: Path, error: type[ValueError] = CorpusError):
+    """``(line number, record)`` per non-blank line; a bad line raises ``error``."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(utf8_lines(fh), start=1):
+        for lineno, line in enumerate(utf8_lines(fh, error), start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}, line {lineno}: invalid JSON ({exc.msg})") from exc
+                raise error(f"{path}, line {lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(record, dict):
-                raise CorpusError(f"{path}, line {lineno}: record must be a JSON object")
+                raise error(f"{path}, line {lineno}: record must be a JSON object")
             yield lineno, record
 
 
@@ -249,7 +250,6 @@ def default_stopwords() -> frozenset[str]:
     Negation words and intensity adverbs are deliberately absent so the
     sentiment stage still sees them.
     """
-    text = resources.files("topicmood.data").joinpath("stopwords_en.txt").read_text("utf-8")
-    return frozenset(
-        w.strip().lower() for w in text.splitlines() if w.strip() and not w.startswith("#")
-    )
+    data = resources.files("topicmood.data").joinpath("stopwords_en.txt")
+    with resources.as_file(data) as path:
+        return load_stopwords(path)

@@ -5,6 +5,13 @@ emitted reports are byte-reproducible. A fixture mode accepts supplied
 polarities plus a supplied topic-distribution matrix and skips sentiment
 scoring and topic discovery, which makes small worked examples first-class
 regression inputs.
+
+The topic stage has two sources: ``_supplied_topics`` reads a supplied
+distribution matrix, ``_clustered_topics`` clusters supplied vectors or the
+built-in TF-IDF rows. Both return the TopicDistribution over the
+contributing posts, each topic's top terms (empty for a supplied matrix),
+each contributing post's hard topic, and the live post ids a supplied file
+does not cover.
 """
 
 from __future__ import annotations
@@ -196,7 +203,8 @@ def _keep_live(supplied, source: str, all_ids: set[str], live_docs):
 
     ``supplied`` is a TopicDistribution or a DocMatrix. Returns the
     restricted copy and the ids of the live documents it does not cover.
-    An id that names no input post is an error.
+    An id that names no input post is an error, and so is a file that
+    covers no live document.
     """
     ids = supplied.post_ids
     unknown = [i for i in ids if i not in all_ids]
@@ -204,9 +212,40 @@ def _keep_live(supplied, source: str, all_ids: set[str], live_docs):
         raise ValueError(f"{source} references unknown post id {unknown[0]!r}")
     live_ids = {d.post_id for d in live_docs}
     keep = [i for i, pid in enumerate(ids) if pid in live_ids]
+    if not keep:
+        raise ValueError("no documents left for topic modeling")
     kept = replace(supplied, post_ids=tuple(ids[i] for i in keep), matrix=supplied.matrix[keep])
     covered = set(kept.post_ids)
     return kept, [d.post_id for d in live_docs if d.post_id not in covered]
+
+
+def _supplied_topics(config: RunConfig, all_ids: set[str], live_docs):
+    """Fixture-mode topics: the live rows of a supplied distribution matrix."""
+    full_dist = load_dist_matrix(config.dist_matrix_path)
+    if config.n_topics is not None and config.n_topics != full_dist.k:
+        raise ValueError(
+            f"configured topic count {config.n_topics} disagrees with the "
+            f"supplied matrix ({full_dist.k} columns)"
+        )
+    dist, excluded_ids = _keep_live(full_dist, "distribution matrix", all_ids, live_docs)
+    return dist, [[] for _ in range(dist.k)], dist.matrix.argmax(axis=1), excluded_ids
+
+
+def _clustered_topics(config: RunConfig, all_ids: set[str], live_docs):
+    """Topics from k-means over supplied vectors or the built-in TF-IDF rows."""
+    if config.vectors_path is None:
+        rows, excluded_ids = topics_mod.vectorize(live_docs), []
+    else:
+        loaded = topics_mod.load_vectors(config.vectors_path)
+        rows, excluded_ids = _keep_live(loaded, "vectors file", all_ids, live_docs)
+    model = topics_mod.cluster(rows, config.n_topics, config.seed)
+    grouped: list[list[corpus_mod.CleanDoc]] = [[] for _ in range(model.k)]
+    for doc in live_docs:
+        if doc.post_id in model.cluster_of:
+            grouped[model.cluster_of[doc.post_id]].append(doc)
+    top_terms = topics_mod.ctfidf_top_terms(grouped, config.n_terms)
+    dist = topics_mod.soft_assign(rows, model, config.temperature)
+    return dist, top_terms, list(model.cluster_of.values()), excluded_ids
 
 
 def run_pipeline(config: RunConfig) -> RunResult:
@@ -220,7 +259,6 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
     with _stage("corpus"):
         posts = corpus_mod.load_posts(config.input_path, config.input_format)
-        documents_in = len(posts)
         kept = corpus_mod.filter_short(posts, config.min_chars)
         if config.stopwords_path is not None:
             stopwords = corpus_mod.load_stopwords(config.stopwords_path)
@@ -230,66 +268,32 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
     empty_ids = [d.post_id for d in docs if d.is_empty]
     live_docs = [d for d in docs if not d.is_empty]
-    doc_by_id = {d.post_id: d for d in docs}
-    post_by_id = {p.id: p for p in kept}
-    all_ids = {p.id for p in posts}
 
     with _stage("sentiment"):
         if config.lexicon_path is not None:
             lexicon = sentiment_mod.load_lexicon(config.lexicon_path)
         else:
             lexicon = sentiment_mod.default_lexicon()
-        scores = {
-            p.id: sentiment_mod.resolve_polarity(p, doc_by_id[p.id], lexicon) for p in kept
-        }
-
-    fixture_mode = config.dist_matrix_path is not None
-    excluded_ids: list[str] = []
+        scores = [sentiment_mod.resolve_polarity(p, d, lexicon) for p, d in zip(kept, docs)]
 
     with _stage("topics"):
-        if fixture_mode:
-            full_dist = load_dist_matrix(config.dist_matrix_path)
-            if config.n_topics is not None and config.n_topics != full_dist.k:
-                raise ValueError(
-                    f"configured topic count {config.n_topics} disagrees with the "
-                    f"supplied matrix ({full_dist.k} columns)"
-                )
-            dist, excluded_ids = _keep_live(full_dist, "distribution matrix", all_ids, live_docs)
-            k = dist.k
-            hard = dist.matrix.argmax(axis=1)
-            top_terms: list[list[tuple[str, float]]] = [[] for _ in range(k)]
-        else:
-            k = config.n_topics
-            if config.vectors_path is not None:
-                loaded = topics_mod.load_vectors(config.vectors_path)
-                vectors, excluded_ids = _keep_live(loaded, "vectors file", all_ids, live_docs)
-            else:
-                vectors = topics_mod.vectorize(live_docs)
-            if not vectors:
-                raise ValueError("no documents left for topic modeling")
-            model = topics_mod.cluster(vectors, k, config.seed)
-            grouped: list[list[corpus_mod.CleanDoc]] = [[] for _ in range(k)]
-            for pid in vectors.post_ids:
-                grouped[model.cluster_of[pid]].append(doc_by_id[pid])
-            model.top_terms = topics_mod.ctfidf_top_terms(grouped, config.n_terms)
-            top_terms = model.top_terms
-            dist = topics_mod.soft_assign(vectors, model, config.temperature)
-            hard = list(model.cluster_of.values())
-        doc_counts = np.bincount(hard, minlength=k).tolist()
+        if not live_docs:
+            raise ValueError("no documents left for topic modeling")
+        source = _clustered_topics if config.dist_matrix_path is None else _supplied_topics
+        dist, top_terms, hard, excluded_ids = source(config, {p.id for p in posts}, live_docs)
+        doc_counts = np.bincount(hard, minlength=dist.k).tolist()
 
     with _stage("fuzzy"):
         prevalence = topics_mod.topic_prevalence(dist)
-        polarities = np.array([scores[pid].value for pid in dist.post_ids], dtype=float)
-        post_weights = np.array([post_by_id[pid].weight for pid in dist.post_ids], dtype=float)
+        row_of = {p.id: i for i, p in enumerate(kept)}
+        take = [row_of[pid] for pid in dist.post_ids]
+        polarities = np.array([scores[i].value for i in take], dtype=float)
+        post_weights = np.array([kept[i].weight for i in take], dtype=float)
         reports = []
-        for kk in range(k):
+        for kk in range(dist.k):
             try:
                 tfn, conf = aggregate_topic(
-                    polarities,
-                    dist.column(kk),
-                    post_weights,
-                    scale=config.scale,
-                    ramp=config.ramp,
+                    polarities, dist.column(kk), post_weights, scale=config.scale, ramp=config.ramp
                 )
             except ValueError as exc:
                 raise ValueError(f"topic {kk}: {exc}") from exc
@@ -307,13 +311,13 @@ def run_pipeline(config: RunConfig) -> RunResult:
         reports.sort(key=lambda r: (-r.prevalence, r.topic_id))
 
     source_counts = {sentiment_mod.COMPUTED: 0, sentiment_mod.SUPPLIED: 0}
-    for score in scores.values():
+    for score in scores:
         source_counts[score.source] += 1
 
     metadata = {
-        "mode": "fixture" if fixture_mode else "standard",
-        "documents_in": documents_in,
-        "filtered_short": documents_in - len(kept),
+        "mode": "standard" if config.dist_matrix_path is None else "fixture",
+        "documents_in": len(posts),
+        "filtered_short": len(posts) - len(kept),
         "empty_after_cleaning": len(empty_ids),
         "excluded": len(excluded_ids),
         "contributing": sum(doc_counts),

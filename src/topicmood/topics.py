@@ -28,7 +28,6 @@ of one full block product per step.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CleanDoc, utf8_lines
+from .corpus import CleanDoc, _iter_jsonl
 
 __all__ = [
     "DocMatrix",
@@ -160,7 +159,6 @@ class TopicModel:
     vocabulary: tuple[str, ...]  # the DocMatrix terms; empty for embeddings
     centroids: np.ndarray  # shape (k, n_features), unit rows
     cluster_of: dict[str, int]  # post_id -> cluster index in [0, k)
-    top_terms: list[list[tuple[str, float]]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -264,33 +262,23 @@ def load_vectors(path: str | Path) -> DocMatrix:
     path = Path(path)
     rows: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(utf8_lines(fh, ValueError), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}, line {lineno}: invalid JSON ({exc.msg})") from exc
-            post_id = record.get("id")
-            values = record.get("vector")
-            if not isinstance(post_id, str) or not isinstance(values, list) or not values:
-                raise ValueError(
-                    f"{path}, line {lineno}: expected fields 'id' and non-empty 'vector'"
-                )
-            if post_id in rows:
-                raise ValueError(f"{path}, line {lineno}: duplicate id {post_id!r}")
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise ValueError(
-                    f"{path}, line {lineno}: vector length {len(values)} != {dim}"
-                )
-            arr = np.asarray(values, dtype=float)
-            norm = float(np.linalg.norm(arr))
-            if norm <= 0.0 or not np.isfinite(norm):
-                raise ValueError(f"{path}, line {lineno}: vector for {post_id!r} has no norm")
-            rows[post_id] = arr / norm
+    for lineno, record in _iter_jsonl(path, ValueError):
+        post_id = record.get("id")
+        values = record.get("vector")
+        if not isinstance(post_id, str) or not isinstance(values, list) or not values:
+            raise ValueError(f"{path}, line {lineno}: expected fields 'id' and non-empty 'vector'")
+        if not {*map(type, values)} <= {int, float}:  # a bool, string, list or null
+            raise ValueError(f"{path}, line {lineno}: 'vector' must hold numbers only")
+        if post_id in rows:
+            raise ValueError(f"{path}, line {lineno}: duplicate id {post_id!r}")
+        dim = dim or len(values)
+        if len(values) != dim:
+            raise ValueError(f"{path}, line {lineno}: vector length {len(values)} != {dim}")
+        arr = np.asarray(values, dtype=float)
+        norm = float(np.linalg.norm(arr))
+        if norm <= 0.0 or not np.isfinite(norm):
+            raise ValueError(f"{path}, line {lineno}: vector for {post_id!r} has no norm")
+        rows[post_id] = arr / norm
     mat = np.array(list(rows.values())).reshape(len(rows), dim or 0)
     return DocMatrix(tuple(rows), (), _unit_rows(mat))
 

@@ -140,6 +140,24 @@ class TestConfigFile:
         assert code == 1
         assert "[config]" in capsys.readouterr().err
 
+    def test_missing_file_fails_in_config_stage(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [config]") and "missing.cfg" in err
+
+    def test_bad_value_names_line(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input={corpus_path}\ntopics=abc\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"[config] {cfg}, line 2: invalid literal for int()" in capsys.readouterr().err
+
+    def test_invalid_utf8_names_line(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"input={corpus_path}\n".encode() + b"seed=caf\xff\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"[config] {cfg}, line 2: invalid UTF-8 (byte 0xff" in capsys.readouterr().err
+
 
 def src_env(**extra):
     """The environment of a child interpreter that imports this checkout's src/."""
@@ -156,6 +174,7 @@ class TestModuleInvocation:
             [sys.executable, "-m", "topicmood", *run_args(corpus_path, out_dir)],
             capture_output=True,
             text=True,
+            encoding="utf-8",
             env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
@@ -182,6 +201,7 @@ class TestBlasThreads:
                  "--topics", "42", "--seed", "3", "--svg", "--out", str(out_dir)],
                 capture_output=True,
                 text=True,
+                encoding="utf-8",
                 env=src_env(OPENBLAS_NUM_THREADS=threads),
             )
             assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Tests for post loading and text preprocessing."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -280,6 +281,9 @@ class TestStopwordFiles:
 
     def test_default_list_keeps_sentiment_markers(self):
         words = default_stopwords()
+        bundled = resources.files("topicmood.data").joinpath("stopwords_en.txt")
+        with resources.as_file(bundled) as path:
+            assert words == load_stopwords(path) and len(words) == 110
         assert "the" in words
         for marker in ("not", "no", "never", "very", "really"):
             assert marker not in words

@@ -86,7 +86,7 @@ class TestFixtureMode:
 
     def test_stage_accounting_with_all_buckets(self, tmp_path):
         posts_path, matrix_path = write_table_fixture(tmp_path)
-        records = [json.loads(line) for line in posts_path.read_text().splitlines()]
+        records = [json.loads(line) for line in posts_path.read_text(encoding="utf-8").splitlines()]
         records.append({"id": "p4", "text": "tiny"})
         records.append({"id": "p5", "text": "@user #hash http://link.example 1234 !!! ??? @more #tags 000 []"})
         records.append({"id": "p6", "text": "the tram network keeps improving downtown"})
@@ -252,6 +252,42 @@ class TestStandardMode:
             meta["contributing"] + meta["filtered_short"]
             + meta["empty_after_cleaning"] + meta["excluded"]
         )
+
+
+class TestNoUsablePost:
+    """Every topic source stops a run without a usable post with one message."""
+
+    @pytest.mark.parametrize(
+        "source,min_chars,covered",
+        [
+            ("tfidf", 1000, ()),
+            ("vectors", 1000, ("p1", "p2", "p3")),
+            ("dist-matrix", 1000, ("p1", "p2", "p3")),
+            ("vectors", 1, ("p4",)),  # p4 is empty after cleaning
+            ("dist-matrix", 1, ("p4",)),
+        ],
+        ids=[
+            "tfidf-all-short", "vectors-all-short", "dist-matrix-all-short",
+            "vectors-cover-no-live-post", "dist-matrix-covers-no-live-post",
+        ],
+    )
+    def test_no_documents_left(self, tmp_path, source, min_chars, covered):
+        table_posts, _ = write_table_fixture(tmp_path)
+        records = [json.loads(line) for line in table_posts.read_text("utf-8").splitlines()]
+        records.append({"id": "p4", "text": "1234 !!!"})
+        cfg = RunConfig(
+            input_path=write_jsonl(tmp_path / "all.jsonl", records), n_topics=2, min_chars=min_chars
+        )
+        if source == "vectors":
+            cfg.vectors_path = tmp_path / "vectors.jsonl"
+            lines = [json.dumps({"id": pid, "vector": [1.0, 0.5]}) for pid in covered]
+            cfg.vectors_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        elif source == "dist-matrix":
+            cfg.dist_matrix_path = tmp_path / "two.csv"
+            lines = ["post_id,t0,t1", *(f"{pid},0.5,0.5" for pid in covered)]
+            cfg.dist_matrix_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(StageError, match=r"^\[topics\] no documents left for topic modeling$"):
+            run_pipeline(cfg)
 
 
 class TestConfigValidation:

@@ -273,6 +273,18 @@ def tied_rows(m=12, n_perm=30, n_probe=30):
     return mat / np.linalg.norm(mat, axis=1)[:, None]
 
 
+def near_duplicate_rows():
+    """4 random directions in d = 5, each repeated 5 times with 1.5e-7 noise.
+
+    All 20 unit rows are distinct, so no block product ties exactly, but
+    the k-means++ seeding total can fall below 1e-12; seeding may then
+    pick one row twice, and the duplicate seed has to be re-seeded.
+    """
+    rng = np.random.default_rng(0)
+    mat = np.repeat(rng.normal(size=(4, 5)), 5, axis=0) + 1.5e-7 * rng.normal(size=(20, 5))
+    return mat / np.linalg.norm(mat, axis=1)[:, None]
+
+
 def labels_of(model, docs):
     return np.array([model.cluster_of[pid] for pid in docs.post_ids])
 
@@ -281,12 +293,15 @@ class TestLloydOracle:
     """``cluster`` gives the labels and centroids of one full product per step."""
 
     @pytest.mark.parametrize(
-        "case", ["below-one-block", "two-blocks", "re-seed", "ties", "k=1", "k=n"]
+        "case",
+        ["below-one-block", "two-blocks", "re-seed", "ties", "k=1", "k=n", "near-duplicates"],
     )
     @pytest.mark.parametrize("sparse", [True, False], ids=["csr", "dense"])
     def test_matches_full_product_loop(self, case, sparse):
         if case == "ties":
             mat, k = tied_rows(), 8
+        elif case == "near-duplicates":
+            mat = near_duplicate_rows()
         elif case == "two-blocks":
             # 2,500 rows: a 1,024-row block and a 1,476-row block.
             vecs, k = vectorize(synth_docs(2500, 42)), 42
@@ -297,14 +312,16 @@ class TestLloydOracle:
             k = 7 if case == "re-seed" else len(vecs)
         else:
             vecs, k = vectorize(synth_docs(300, 7)), 7 if case == "below-one-block" else 1
-        if case != "ties":
+        if case not in ("ties", "near-duplicates"):
             mat = vecs.rows(0, len(vecs))
         docs = as_docs(mat, sparse)
-        for seed in (0, 3):
-            labels, centroids = lloyd_reference(docs, k, seed)
-            model = cluster(docs, k, seed)
-            np.testing.assert_array_equal(labels_of(model, docs), labels)
-            np.testing.assert_array_equal(model.centroids, centroids)
+        ks, seeds = ((6, 8), range(6)) if case == "near-duplicates" else ((k,), (0, 3))
+        for k in ks:
+            for seed in seeds:
+                labels, centroids = lloyd_reference(docs, k, seed)
+                model = cluster(docs, k, seed)
+                np.testing.assert_array_equal(labels_of(model, docs), labels)
+                np.testing.assert_array_equal(model.centroids, centroids)
 
     def test_tied_rows_tie_exactly_in_first_step(self):
         # The block products of the first step (centroids = seeds) tie
@@ -645,6 +662,22 @@ class TestLoadVectors:
         with pytest.raises(ValueError, match=pattern) as err:
             load_vectors(path)
         assert not isinstance(err.value, UnicodeDecodeError)
+
+    @pytest.mark.parametrize(
+        "line,pattern",
+        [
+            ("[1, 2]", "line 2: record must be a JSON object"),
+            ('{"id": "b", "vector": ["x", 1]}', "line 2: 'vector' must hold numbers only"),
+            ('{"id": "b", "vector": [[1, 2]]}', "line 2: 'vector' must hold numbers only"),
+            ('{"id": "b", "vector": [true, 1]}', "line 2: 'vector' must hold numbers only"),
+        ],
+        ids=["not-an-object", "string", "nested-list", "boolean"],
+    )
+    def test_malformed_line_names_line(self, tmp_path, line, pattern):
+        path = tmp_path / "vecs.jsonl"
+        path.write_text('{"id": "a", "vector": [1, 2]}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"vecs\.jsonl, {pattern}"):
+            load_vectors(path)
 
     def test_zero_vector_rejected(self, tmp_path):
         path = tmp_path / "vecs.jsonl"
