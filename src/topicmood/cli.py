@@ -106,6 +106,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             lineno, text = file_values[flag.name]
             try:
                 value = flag.cast(text)
+                if flag.choices and value not in flag.choices:
+                    raise ValueError(
+                        f"{flag.name} must be {' or '.join(flag.choices)}, got {text!r}"
+                    )
             except ValueError as exc:
                 raise ValueError(f"{args.config}, line {lineno}: {exc}") from None
         if value is not None:

@@ -10,8 +10,8 @@ The topic stage has two sources: ``_supplied_topics`` reads a supplied
 distribution matrix, ``_clustered_topics`` clusters supplied vectors or the
 built-in TF-IDF rows. Both return the TopicDistribution over the
 contributing posts, each topic's top terms (empty for a supplied matrix),
-each contributing post's hard topic, and the live post ids a supplied file
-does not cover.
+an array of each contributing post's hard topic in the distribution's row
+order, and the live post ids a supplied file does not cover.
 """
 
 from __future__ import annotations
@@ -239,13 +239,11 @@ def _clustered_topics(config: RunConfig, all_ids: set[str], live_docs):
         loaded = topics_mod.load_vectors(config.vectors_path)
         rows, excluded_ids = _keep_live(loaded, "vectors file", all_ids, live_docs)
     model = topics_mod.cluster(rows, config.n_topics, config.seed)
-    grouped: list[list[corpus_mod.CleanDoc]] = [[] for _ in range(model.k)]
-    for doc in live_docs:
-        if doc.post_id in model.cluster_of:
-            grouped[model.cluster_of[doc.post_id]].append(doc)
-    top_terms = topics_mod.ctfidf_top_terms(grouped, config.n_terms)
+    doc_of = {doc.post_id: doc for doc in live_docs}
+    docs = [doc_of[post_id] for post_id in rows.post_ids]
+    top_terms = topics_mod.ctfidf_top_terms(docs, model.labels, model.k, config.n_terms)
     dist = topics_mod.soft_assign(rows, model, config.temperature)
-    return dist, top_terms, list(model.cluster_of.values()), excluded_ids
+    return dist, top_terms, model.labels, excluded_ids
 
 
 def run_pipeline(config: RunConfig) -> RunResult:
@@ -386,18 +384,9 @@ def emit_report(
                  "positivity", "negativity"]
             )
             for r in reports:
-                writer.writerow(
-                    [
-                        r.topic_id,
-                        ";".join(term for term, _ in r.top_terms),
-                        f"{r.prevalence:.6f}",
-                        f"{r.tfn.a:.6f}",
-                        f"{r.tfn.m:.6f}",
-                        f"{r.tfn.b:.6f}",
-                        f"{r.positivity:.6f}",
-                        f"{r.negativity:.6f}",
-                    ]
-                )
+                numbers = (r.prevalence, r.tfn.a, r.tfn.m, r.tfn.b, r.positivity, r.negativity)
+                terms = ";".join(term for term, _ in r.top_terms)
+                writer.writerow([r.topic_id, terms, *(f"{x:.6f}" for x in numbers)])
     else:
         raise ValueError(f"unknown report format {fmt!r} (expected 'json' or 'csv')")
     return path

@@ -29,7 +29,6 @@ of one full block product per step.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -158,7 +157,7 @@ class TopicModel:
     k: int
     vocabulary: tuple[str, ...]  # the DocMatrix terms; empty for embeddings
     centroids: np.ndarray  # shape (k, n_features), unit rows
-    cluster_of: dict[str, int]  # post_id -> cluster index in [0, k)
+    labels: np.ndarray  # cluster index in [0, k) of each DocMatrix row, in post_ids order
 
 
 @dataclass(frozen=True)
@@ -177,16 +176,15 @@ class TopicDistribution:
             raise ValueError(
                 f"matrix has {mat.shape[0]} rows but {len(self.post_ids)} post ids"
             )
-        if mat.size and (mat < 0).any():
+        if (mat < 0).any():
             raise ValueError("matrix entries must be non-negative")
-        if mat.shape[0]:
-            sums = mat.sum(axis=1)
-            bad = np.nonzero(np.abs(sums - 1.0) > 1e-9)[0]
-            if bad.size:
-                i = int(bad[0])
-                raise ValueError(
-                    f"row for post {self.post_ids[i]!r} sums to {sums[i]!r}, expected 1"
-                )
+        sums = mat.sum(axis=1)
+        bad = np.nonzero(~(np.abs(sums - 1.0) <= 1e-9))[0]  # a NaN sum fails too
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"row for post {self.post_ids[i]!r} sums to {float(sums[i])!r}, expected 1"
+            )
 
     @property
     def k(self) -> int:
@@ -204,6 +202,24 @@ def _unit_rows(mat: np.ndarray) -> np.ndarray:
     return mat / norms[:, None]
 
 
+def _term_counts(docs: Sequence[CleanDoc]):
+    """The sorted vocabulary, and the row, column and count of every (doc, term) cell."""
+    terms = tuple(sorted({t for doc in docs for t in doc.tokens}))
+    column = {t: j for j, t in enumerate(terms)}
+    n_terms = len(terms)
+    # One key row * V + column per token; the sorted unique keys are the
+    # cells in row-major order, and their counts are the term frequencies.
+    lengths = [len(doc.tokens) for doc in docs]
+    token_cols = np.fromiter(
+        (column[t] for doc in docs for t in doc.tokens), dtype=np.int64, count=sum(lengths)
+    )
+    keys, counts = np.unique(
+        np.repeat(np.arange(len(docs)), lengths) * n_terms + token_cols, return_counts=True
+    )
+    rows, cols = np.divmod(keys, n_terms)
+    return terms, rows, cols, counts
+
+
 def vectorize(docs: Sequence[CleanDoc]) -> DocMatrix:
     """L2-normalized smoothed TF-IDF rows over the sorted corpus vocabulary.
 
@@ -218,22 +234,9 @@ def vectorize(docs: Sequence[CleanDoc]) -> DocMatrix:
         raise ValueError("all documents are empty after preprocessing")
 
     n_docs = len(non_empty)
-    terms = tuple(sorted({t for doc in non_empty for t in doc.tokens}))
-    column = {t: j for j, t in enumerate(terms)}
-    n_terms = len(terms)
-
-    # One key row * V + column per token; the sorted unique keys are the CSR
-    # cells in row-major order, and their counts are the term frequencies.
-    lengths = [len(doc.tokens) for doc in non_empty]
-    token_cols = np.fromiter(
-        (column[t] for doc in non_empty for t in doc.tokens), dtype=np.int64, count=sum(lengths)
-    )
-    keys, tf = np.unique(
-        np.repeat(np.arange(n_docs), lengths) * n_terms + token_cols, return_counts=True
-    )
-    row_of, indices = np.divmod(keys, n_terms)
+    terms, row_of, indices, tf = _term_counts(non_empty)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n_docs))))
-    df = np.bincount(indices, minlength=n_terms).tolist()
+    df = np.bincount(indices, minlength=len(terms)).tolist()
     idf = np.array([math.log((1 + n_docs) / (1 + c)) + 1.0 for c in df])
 
     raw = tf * idf[indices]
@@ -274,7 +277,10 @@ def load_vectors(path: str | Path) -> DocMatrix:
         dim = dim or len(values)
         if len(values) != dim:
             raise ValueError(f"{path}, line {lineno}: vector length {len(values)} != {dim}")
-        arr = np.asarray(values, dtype=float)
+        try:
+            arr = np.asarray(values, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{path}, line {lineno}: 'vector' entry too large") from None
         norm = float(np.linalg.norm(arr))
         if norm <= 0.0 or not np.isfinite(norm):
             raise ValueError(f"{path}, line {lineno}: vector for {post_id!r} has no norm")
@@ -394,8 +400,7 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
         if moved:
             sims[:, moved] = docs.dots(centroids[moved])
 
-    cluster_of = {post_id: int(labels[i]) for i, post_id in enumerate(docs.post_ids)}
-    return TopicModel(k=k, vocabulary=docs.terms, centroids=centroids, cluster_of=cluster_of)
+    return TopicModel(k=k, vocabulary=docs.terms, centroids=centroids, labels=labels)
 
 
 def ctfidf_weight(tf_tc: float, tf_t: float, avg_words: float) -> float:
@@ -413,35 +418,34 @@ def ctfidf_weight(tf_tc: float, tf_t: float, avg_words: float) -> float:
 
 
 def ctfidf_top_terms(
-    cluster_docs: Sequence[Sequence[CleanDoc]], n_terms: int = 7
+    docs: Sequence[CleanDoc], labels: np.ndarray, k: int, n_terms: int = 7
 ) -> list[list[tuple[str, float]]]:
-    """Top class-based TF-IDF terms per cluster, ties broken alphabetically."""
+    """Top class-based TF-IDF terms per cluster, ties broken alphabetically.
+
+    ``labels[i]`` in [0, k) is the cluster of ``docs[i]``. The term counts
+    come from one count over (cluster, term) pairs.
+    """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    if any(not docs for docs in cluster_docs):
-        raise ValueError("every cluster must contain at least one document")
+    if len(labels) != len(docs):
+        raise ValueError(f"{len(labels)} labels for {len(docs)} documents")
+    if not np.array_equal(np.unique(labels), np.arange(k)):
+        raise ValueError(f"labels must lie in [0, {k}), and every cluster needs a document")
 
-    per_cluster: list[Counter[str]] = []
-    total: Counter[str] = Counter()
-    n_tokens = 0
-    for docs in cluster_docs:
-        counts: Counter[str] = Counter()
-        for doc in docs:
-            counts.update(doc.tokens)
-        per_cluster.append(counts)
-        total.update(counts)
-        n_tokens += sum(counts.values())
-    avg_words = n_tokens / len(cluster_docs)
-
-    result = []
-    for counts in per_cluster:
-        scored = [
-            (term, ctfidf_weight(count, total[term], avg_words))
-            for term, count in counts.items()
-        ]
-        scored.sort(key=lambda tw: (-tw[1], tw[0]))
-        result.append(scored[:n_terms])
-    return result
+    terms, rows, cols, counts = _term_counts(docs)
+    cells, cell_of = np.unique(labels[rows] * len(terms) + cols, return_inverse=True)
+    cell_cluster, cell_term = np.divmod(cells, len(terms))
+    in_cluster = np.bincount(cell_of, weights=counts).astype(np.int64).tolist()
+    total = np.bincount(cols, weights=counts).astype(np.int64)[cell_term].tolist()
+    avg_words = int(counts.sum()) / k
+    weights = [ctfidf_weight(c, t, avg_words) for c, t in zip(in_cluster, total)]
+    # Cells run by cluster, then by term; a stable sort on -weight keeps ties alphabetical.
+    order = np.lexsort((-np.array(weights), cell_cluster))
+    starts = np.searchsorted(cell_cluster, range(k + 1))
+    return [
+        [(terms[cell_term[i]], weights[i]) for i in order[a : min(b, a + n_terms)]]
+        for a, b in zip(starts, starts[1:])
+    ]
 
 
 def check_temperature(temperature: float) -> None:

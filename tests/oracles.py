@@ -5,6 +5,7 @@ floats, without importing the code under test.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -126,3 +127,44 @@ def lloyd_reference(docs, k, seed, max_iters=100):
             if norm > 0:
                 centroids[kk] = mean / norm
     return labels, centroids
+
+
+def ctfidf_weight(tf_tc, tf_t, avg_words):
+    """Class-based TF-IDF weight tf_tc * ln(1 + avg_words / tf_t); 0 when tf_tc is 0."""
+    if tf_tc == 0:
+        return 0.0
+    return tf_tc * math.log(1.0 + avg_words / tf_t)
+
+
+def ctfidf_reference(cluster_docs, n_terms=7):
+    """Top class-based TF-IDF terms per cluster, ties broken alphabetically.
+
+    The ``Counter`` version that ``topics.ctfidf_top_terms`` replaced, with its
+    body unchanged: one list of documents per cluster, counted term by term.
+    """
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
+    if any(not docs for docs in cluster_docs):
+        raise ValueError("every cluster must contain at least one document")
+
+    per_cluster: list[Counter[str]] = []
+    total: Counter[str] = Counter()
+    n_tokens = 0
+    for docs in cluster_docs:
+        counts: Counter[str] = Counter()
+        for doc in docs:
+            counts.update(doc.tokens)
+        per_cluster.append(counts)
+        total.update(counts)
+        n_tokens += sum(counts.values())
+    avg_words = n_tokens / len(cluster_docs)
+
+    result = []
+    for counts in per_cluster:
+        scored = [
+            (term, ctfidf_weight(count, total[term], avg_words))
+            for term, count in counts.items()
+        ]
+        scored.sort(key=lambda tw: (-tw[1], tw[0]))
+        result.append(scored[:n_terms])
+    return result

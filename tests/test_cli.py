@@ -152,6 +152,18 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfg)]) == 1
         assert f"[config] {cfg}, line 2: invalid literal for int()" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,choices",
+        [("format", "jsonl or csv"), ("report", "json or csv")],
+        ids=["format", "report"],
+    )
+    def test_value_outside_choices_names_line(self, corpus_path, tmp_path, capsys, key, choices):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input={corpus_path}\ntopics=3\n{key}=xml\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"[config] {cfg}, line 3: {key} must be {choices}, got 'xml'" in err
+
     def test_invalid_utf8_names_line(self, corpus_path, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(f"input={corpus_path}\n".encode() + b"seed=caf\xff\n")

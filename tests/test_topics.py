@@ -24,12 +24,17 @@ from topicmood.topics import (
     vectorize,
 )
 
-from oracles import dense_tfidf, lloyd_reference
+from oracles import ctfidf_reference, dense_tfidf, lloyd_reference
 from synthdata import many_group_records
 
 
 def doc(post_id, *tokens):
     return CleanDoc(post_id, tuple(tokens))
+
+
+def cluster_map(model, docs):
+    """post_id -> cluster of a model clustered on ``docs``."""
+    return dict(zip(docs.post_ids, model.labels.tolist()))
 
 
 def two_group_docs(n_per_group=8):
@@ -83,15 +88,15 @@ class TestCluster:
     def test_k1_centroid_is_normalized_mean(self):
         vecs = vectorize(two_group_docs(3))
         model = cluster(vecs, 1, seed=5)
-        assert set(model.cluster_of.values()) == {0}
+        assert set(model.labels.tolist()) == {0}
         mean = vecs.rows(0, len(vecs)).mean(axis=0)
         np.testing.assert_allclose(model.centroids[0], mean / np.linalg.norm(mean), atol=1e-12)
 
     def test_separates_disjoint_groups(self):
-        docs = two_group_docs()
-        model = cluster(vectorize(docs), 2, seed=3)
-        labels_a = {model.cluster_of[f"a{i}"] for i in range(8)}
-        labels_b = {model.cluster_of[f"b{i}"] for i in range(8)}
+        vecs = vectorize(two_group_docs())
+        cluster_of = cluster_map(cluster(vecs, 2, seed=3), vecs)
+        labels_a = {cluster_of[f"a{i}"] for i in range(8)}
+        labels_b = {cluster_of[f"b{i}"] for i in range(8)}
         assert len(labels_a) == 1 and len(labels_b) == 1
         assert labels_a != labels_b
 
@@ -99,7 +104,7 @@ class TestCluster:
         vecs = vectorize(two_group_docs())
         m1 = cluster(vecs, 2, seed=11)
         m2 = cluster(vecs, 2, seed=11)
-        assert m1.cluster_of == m2.cluster_of
+        np.testing.assert_array_equal(m1.labels, m2.labels)
         np.testing.assert_array_equal(m1.centroids, m2.centroids)
 
     def test_partition_stable_under_document_permutation(self):
@@ -109,13 +114,13 @@ class TestCluster:
         permuted = DocMatrix(vecs.post_ids[::-1], vecs.terms, vecs.rows(0, len(vecs))[::-1])
         other = cluster(permuted, 2, seed=7)
 
-        def partition(model):
+        def partition(model, docs):
             groups = {}
-            for pid, c in model.cluster_of.items():
+            for pid, c in cluster_map(model, docs).items():
                 groups.setdefault(c, set()).add(pid)
             return {frozenset(g) for g in groups.values()}
 
-        assert partition(base) == partition(other)
+        assert partition(base, vecs) == partition(other, permuted)
 
     def test_k_bounds(self):
         vecs = vectorize(two_group_docs(2))
@@ -127,7 +132,7 @@ class TestCluster:
     def test_k_equals_n(self):
         vecs = vectorize([doc("x", "aa"), doc("y", "bb"), doc("z", "cc")])
         model = cluster(vecs, 3, seed=2)
-        assert sorted(model.cluster_of.values()) == [0, 1, 2]
+        assert sorted(model.labels.tolist()) == [0, 1, 2]
 
     def test_no_cluster_left_empty_on_duplicate_heavy_corpora(self):
         # Duplicates collapse onto one centroid under lowest-index tie
@@ -138,7 +143,7 @@ class TestCluster:
         for k in (2, 4, 7, 8):
             for seed in range(12):
                 model = cluster(vecs, k, seed)
-                assert len(set(model.cluster_of.values())) == k, (k, seed)
+                assert len(set(model.labels.tolist())) == k, (k, seed)
 
 
 def synth_docs(n_docs, n_groups):
@@ -210,8 +215,8 @@ class TestSparseRows:
         for seed in (0, 3):
             sparse_model = cluster(vecs, k, seed)
             dense_model = cluster(dense, k, seed)
-            assert sparse_model.cluster_of == dense_model.cluster_of
-            assert len(set(sparse_model.cluster_of.values())) == k
+            np.testing.assert_array_equal(sparse_model.labels, dense_model.labels)
+            assert len(set(sparse_model.labels.tolist())) == k
             np.testing.assert_array_equal(sparse_model.centroids, dense_model.centroids)
             np.testing.assert_array_equal(
                 soft_assign(vecs, sparse_model, 0.25).matrix,
@@ -222,7 +227,7 @@ class TestSparseRows:
         vecs = vectorize(synth_docs(2500, 42))
         model = cluster(vecs, 42, seed=1)
         dense = vecs.rows(0, len(vecs))
-        labels = np.array([model.cluster_of[pid] for pid in vecs.post_ids])
+        labels = model.labels
         for kk in range(42):
             mean = dense[labels == kk].mean(axis=0)
             np.testing.assert_array_equal(model.centroids[kk], mean / np.linalg.norm(mean))
@@ -285,10 +290,6 @@ def near_duplicate_rows():
     return mat / np.linalg.norm(mat, axis=1)[:, None]
 
 
-def labels_of(model, docs):
-    return np.array([model.cluster_of[pid] for pid in docs.post_ids])
-
-
 class TestLloydOracle:
     """``cluster`` gives the labels and centroids of one full product per step."""
 
@@ -320,7 +321,7 @@ class TestLloydOracle:
             for seed in seeds:
                 labels, centroids = lloyd_reference(docs, k, seed)
                 model = cluster(docs, k, seed)
-                np.testing.assert_array_equal(labels_of(model, docs), labels)
+                np.testing.assert_array_equal(model.labels, labels)
                 np.testing.assert_array_equal(model.centroids, centroids)
 
     def test_tied_rows_tie_exactly_in_first_step(self):
@@ -380,6 +381,26 @@ class TestNearest:
         )
 
 
+def top_terms_of(clusters, n_terms):
+    """``ctfidf_top_terms`` on documents given as one list per cluster."""
+    docs = [d for group in clusters for d in group]
+    labels = np.repeat(np.arange(len(clusters)), [len(group) for group in clusters])
+    return ctfidf_top_terms(docs, labels, len(clusters), n_terms)
+
+
+@st.composite
+def labelled_docs(draw):
+    """Documents over a small vocabulary (some empty) and labels covering every cluster."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 20))
+    vocab = st.sampled_from(["a", "b", "ab", "B", "c", "tram", "zeta"])
+    token_lists = draw(st.lists(st.lists(vocab, max_size=6), min_size=n, max_size=n))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = draw(st.permutations(list(range(k)) + extra))
+    docs = [doc(f"p{i}", *tokens) for i, tokens in enumerate(token_lists)]
+    return docs, np.array(labels), k
+
+
 class TestCtfidf:
     def test_direct_evaluation(self):
         assert ctfidf_weight(5, 10, 100) == pytest.approx(5 * math.log(11), abs=1e-9)
@@ -408,7 +429,7 @@ class TestCtfidf:
             [doc("a", "tram", "tram", "tram", "bus"), doc("b", "tram", "ticket")],
             [doc("c", "park", "tree", "tram")],
         ]
-        (top_a, top_b) = ctfidf_top_terms(clusters, 2)
+        (top_a, top_b) = top_terms_of(clusters, 2)
         assert top_a[0][0] == "tram"
         assert all(w > 0 for _, w in top_a + top_b)
         assert [t for t, _ in top_b] == sorted(
@@ -423,24 +444,50 @@ class TestCtfidf:
             [doc("a", "rare", "rare", "dup", "dup")],
             [doc("b", "dup", "other")],
         ]
-        top = ctfidf_top_terms(clusters, 3)[0]
+        top = top_terms_of(clusters, 3)[0]
         scores = dict(top)
         assert scores["rare"] > scores["dup"]
 
     def test_lexicographic_tie_break(self):
         clusters = [[doc("a", "zeta", "alpha")], [doc("b", "zeta", "alpha")]]
-        top = ctfidf_top_terms(clusters, 2)[0]
+        top = top_terms_of(clusters, 2)[0]
         assert [t for t, _ in top] == ["alpha", "zeta"]
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            ctfidf_top_terms([[doc("a", "x")], []], 2)
+            top_terms_of([[doc("a", "x")], []], 2)
+
+    @settings(deadline=None)
+    @given(labelled_docs(), st.integers(1, 8))
+    def test_matches_counter_reference(self, case, n_terms):
+        docs, labels, k = case
+        grouped = [[d for d, c in zip(docs, labels) if c == kk] for kk in range(k)]
+        assert ctfidf_top_terms(docs, labels, k, n_terms) == ctfidf_reference(grouped, n_terms)
+
+    @pytest.mark.parametrize(
+        "labels,k,pattern",
+        [
+            ([0, 1], 2, "2 labels for 3 documents"),
+            ([0, 1, 2], 2, r"labels must lie in \[0, 2\)"),
+            ([0, -1, 1], 2, r"labels must lie in \[0, 2\)"),
+            ([0, 0, 2], 3, "every cluster needs a document"),
+        ],
+        ids=["wrong-length", "too-large", "negative", "empty-cluster"],
+    )
+    def test_bad_labels_rejected(self, labels, k, pattern):
+        docs = [doc("a", "x"), doc("b", "y"), doc("c", "x", "y")]
+        with pytest.raises(ValueError, match=pattern):
+            ctfidf_top_terms(docs, np.array(labels), k, 2)
+
+    def test_n_terms_below_one_rejected(self):
+        with pytest.raises(ValueError, match="n_terms"):
+            ctfidf_top_terms([doc("a", "x")], np.array([0]), 1, 0)
 
 
 def unit_model(k):
     """Model with axis-aligned unit centroids for closed-form checks."""
     vocab = tuple(f"t{i}" for i in range(k))
-    return TopicModel(k=k, vocabulary=vocab, centroids=np.eye(k), cluster_of={})
+    return TopicModel(k=k, vocabulary=vocab, centroids=np.eye(k), labels=np.zeros(0, int))
 
 
 class TestSoftAssign:
@@ -475,8 +522,8 @@ class TestSoftAssign:
         model = cluster(vecs, 2, seed=1)
         dist = soft_assign(vecs, model, 0.01)
         hard = dist.matrix.argmax(axis=1)
-        for i, post_id in enumerate(vecs.post_ids):
-            assert hard[i] == model.cluster_of[post_id]
+        for i in range(len(vecs)):
+            assert hard[i] == model.labels[i]
             assert dist.matrix[i, hard[i]] > 0.999
 
     def test_invalid_temperature(self):
@@ -496,7 +543,7 @@ class TestSoftAssign:
 
     def test_tiny_accepted_temperature_stays_finite(self):
         # Opposite centroids: the scaled cosines span the full 2 / temperature.
-        model = TopicModel(2, ("t0", "t1"), np.array([[1.0, 0.0], [-1.0, 0.0]]), {})
+        model = TopicModel(2, ("t0", "t1"), np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(0, int))
         docs = DocMatrix(("x", "y"), model.vocabulary, np.array([[1.0, 0.0], [-1.0, 0.0]]))
         dist = soft_assign(docs, model, 1e-307)
         np.testing.assert_array_equal(dist.matrix, [[1.0, 0.0], [0.0, 1.0]])
@@ -536,7 +583,7 @@ class TestSoftAssignProperties:
         past_one = np.nextafter(1.0, 2.0)
         row = next(x for x in rows if (x[None, :] @ np.vstack([x, -x]).T)[0, 0] > past_one)
         docs = DocMatrix(("x",), tuple("abcde"), row[None, :])
-        model = TopicModel(2, docs.terms, np.vstack([row, -row]), {})
+        model = TopicModel(2, docs.terms, np.vstack([row, -row]), np.zeros(0, int))
         dist = soft_assign(docs, model, SMALLEST_TEMPERATURE)
         np.testing.assert_array_equal(dist.matrix, [[1.0, 0.0]])
 
@@ -561,7 +608,7 @@ class TestSoftAssignProperties:
             sign = data.draw(st.sampled_from([0.0, 1.0, -1.0]))
             if sign:
                 centroids[j] = sign * mat[data.draw(st.integers(0, len(mat) - 1))]
-        model = TopicModel(len(centroids), docs.terms, centroids, {})
+        model = TopicModel(len(centroids), docs.terms, centroids, np.zeros(0, int))
         dist = soft_assign(docs, model, temperature).matrix
         assert np.isfinite(dist).all()
         assert (dist >= 0).all()
@@ -572,6 +619,11 @@ class TestTopicDistribution:
     def test_row_sum_validation(self):
         with pytest.raises(ValueError, match="sums to"):
             TopicDistribution(("a",), np.array([[0.5, 0.4]]))
+
+    @pytest.mark.parametrize("row", [[np.nan, 1.0], [np.inf, 0.0]], ids=["nan", "inf"])
+    def test_non_finite_row_rejected(self, row):
+        with pytest.raises(ValueError, match=r"sums to (nan|inf), expected 1"):
+            TopicDistribution(("a",), np.array([row]))
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -670,8 +722,9 @@ class TestLoadVectors:
             ('{"id": "b", "vector": ["x", 1]}', "line 2: 'vector' must hold numbers only"),
             ('{"id": "b", "vector": [[1, 2]]}', "line 2: 'vector' must hold numbers only"),
             ('{"id": "b", "vector": [true, 1]}', "line 2: 'vector' must hold numbers only"),
+            ('{"id": "b", "vector": [1%s, 1]}' % ("0" * 400), "line 2: 'vector' entry too large"),
         ],
-        ids=["not-an-object", "string", "nested-list", "boolean"],
+        ids=["not-an-object", "string", "nested-list", "boolean", "huge-integer"],
     )
     def test_malformed_line_names_line(self, tmp_path, line, pattern):
         path = tmp_path / "vecs.jsonl"
@@ -694,7 +747,7 @@ class TestLoadVectors:
             rows.append(json.dumps({"id": f"y{i}", "vector": [0.05 * i, 1.0]}))
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         vecs = load_vectors(path)
-        model = cluster(vecs, 2, seed=4)
-        xs = {model.cluster_of[f"x{i}"] for i in range(4)}
-        ys = {model.cluster_of[f"y{i}"] for i in range(4)}
+        cluster_of = cluster_map(cluster(vecs, 2, seed=4), vecs)
+        xs = {cluster_of[f"x{i}"] for i in range(4)}
+        ys = {cluster_of[f"y{i}"] for i in range(4)}
         assert len(xs) == 1 and len(ys) == 1 and xs != ys
