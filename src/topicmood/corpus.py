@@ -90,6 +90,10 @@ def _coerce_post(record: dict, where: str) -> Post:
         raise CorpusError(f"{where}: field 'weight' must be a number")
     if not 0 < weight < math.inf:
         raise CorpusError(f"{where}: weight must be finite and > 0, got {weight}")
+    try:
+        weight = float(weight)
+    except OverflowError:  # an integer beyond the float range
+        raise CorpusError(f"{where}: field 'weight' too large") from None
 
     polarity = record.get("polarity")
     if polarity is not None:
@@ -99,7 +103,7 @@ def _coerce_post(record: dict, where: str) -> Post:
             raise CorpusError(f"{where}: polarity must lie in [-1, 1], got {polarity}")
         polarity = float(polarity)
 
-    return Post(id=post_id, text=text, weight=float(weight), polarity=polarity)
+    return Post(id=post_id, text=text, weight=weight, polarity=polarity)
 
 
 def utf8_lines(fh, error: type[ValueError] = CorpusError):

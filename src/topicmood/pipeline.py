@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -146,9 +146,36 @@ def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
 
     CSV with a header row: first column ``post_id``, remaining columns one
     per topic. Every row must be a probability vector (non-negative,
-    summing to 1 within 1e-9).
+    summing to 1 within 1e-9). A plain file (no quote, one cell per column
+    on every line) is parsed by one ``np.loadtxt`` call and checked as one
+    array. Any doubt sends it to a per-row loop, which alone raises.
     """
     path = Path(path)
+    # Invalid UTF-8, a cell loadtxt refuses or a sum that overflows: the row loop decides.
+    with suppress(OSError, ValueError), np.errstate(all="ignore"):
+        with open(path, encoding="utf-8", newline="") as fh:  # CR, LF and CRLF end a line
+            lines = fh.read().replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        k, rows = lines[0].count(","), [line for line in lines[1:] if line]
+        ids = [line[: line.find(",")].strip() for line in rows]
+        # csv.reader refuses a field over its size limit, and float() refuses the
+        # \x1c-\x1f that loadtxt strips around a cell.
+        if (
+            k > 0 and lines[0].partition(",")[0].strip() == "post_id" and ids and "" not in ids
+            and len(set(ids)) == len(ids) and max(map(len, lines)) <= csv.field_size_limit()
+            and all(line.count(",") == k and not any(map(line.__contains__, '"\0\x1c\x1d\x1e\x1f'))
+                    for line in lines if line)
+        ):
+            mat = np.loadtxt(rows, delimiter=",", comments=None, usecols=range(1, k + 1), ndmin=2)
+            # Python's sum() adds left to right before 3.12 and with compensation
+            # since; sums of k non-negative cells near 1 differ by under k * eps.
+            bound = 1e-9 - k * np.finfo(float).eps
+            if 0 <= mat.min() and (np.abs(mat.sum(axis=1) - 1) <= bound).all():
+                return topics_mod.TopicDistribution(tuple(ids), mat)
+    return _dist_matrix_rows(path)
+
+
+def _dist_matrix_rows(path: Path) -> topics_mod.TopicDistribution:
+    """The per-row reader: names the line of the first fault it meets."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(corpus_mod.utf8_lines(fh, ValueError))
         try:

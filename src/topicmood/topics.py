@@ -281,7 +281,11 @@ def load_vectors(path: str | Path) -> DocMatrix:
             arr = np.asarray(values, dtype=float)
         except OverflowError:  # an integer beyond the float range
             raise ValueError(f"{path}, line {lineno}: 'vector' entry too large") from None
-        norm = float(np.linalg.norm(arr))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(arr))
+        if norm == math.inf and np.isfinite(arr).all():  # the squares overflow
+            arr = arr / np.abs(arr).max()
+            norm = float(np.linalg.norm(arr))
         if norm <= 0.0 or not np.isfinite(norm):
             raise ValueError(f"{path}, line {lineno}: vector for {post_id!r} has no norm")
         rows[post_id] = arr / norm

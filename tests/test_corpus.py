@@ -105,6 +105,15 @@ class TestLoadPostsJsonl:
         with pytest.raises(CorpusError, match="line 2: weight must be finite"):
             load_posts(path, "jsonl")
 
+    def test_huge_integer_weight_names_line(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        path.write_text(
+            '{"id": "a", "text": "x"}\n{"id": "b", "text": "y", "weight": 1%s}\n' % ("0" * 400),
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusError, match=r"posts\.jsonl, line 2: field 'weight' too large"):
+            load_posts(path, "jsonl")
+
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n{oops\n', encoding="utf-8")

@@ -2,12 +2,16 @@
 
 import csv
 import json
+import random
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from topicmood import pipeline
 from topicmood.fuzzy import TFN
 from topicmood.pipeline import (
     RunConfig,
@@ -131,6 +135,65 @@ class TestFixtureMode:
             run_pipeline(fixture_config(posts_path, matrix_path))
 
 
+def dist_outcome(load, path):
+    """The ids and matrix bits a loader returns, or the type and message it raises."""
+    try:
+        dist = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return dist.post_ids, dist.matrix.shape, dist.matrix.tobytes()
+
+
+# Cells that sum to 1 (within 1e-9), a negative row among them.
+_UNIT_CELLS = {
+    1: [["1"], ["1.0"], ["1e0"]],
+    2: [["0.5", "0.5"], ["0.25", "0.75"], ["1", "0"], ["0.1", "0.9"], ["1.5", "-0.5"]],
+    3: [["0.2", "0.3", "0.5"], ["0", "-0", "1"], ["0.1", "0.2", "0.7"], [".5", "0.75", "-.25"]],
+}
+_ODD_CELLS = [
+    "1_0", "\u0663", "nan", "inf", "-inf", "-0.5", "1.5", "", "x", "0x1p-2", "1e-400",
+    '"0.5"', "0.5\x1c", "\x1f1", "0.5\x00", "1" + "0" * 400, "0.5\r0.5",
+]
+_PADS = [""] * 6 + [" ", "\t", "\x0b", "\x0c", "\xa0", "\u2028", "\x85", "\x1c"]
+_ODD_IDS = ["p0", "", " ", "\t"] * 3 + ["#c", "#", "\x0bd", '"a"', 'e"f', "\xe9", "g\x0ch", "\x1dh"]
+_HEADERS = ["post_id"] * 15 + [" post_id\t", "wrong", '"post_id"', "", "\ufeffpost_id"]
+
+
+@st.composite
+def dist_matrix_bytes(draw):
+    """CSV files around the valid shape: odd cells and ids, quotes, padding,
+    ragged and blank lines, mixed line ends, and now and then invalid UTF-8."""
+    k = draw(st.integers(1, 3))
+    lines = [draw(st.sampled_from(_HEADERS)) + "".join(f",t{j}" for j in range(k))]
+    for i in range(draw(st.integers(0, 4))):
+        kinds = ["row"] * 4 + ["odd cell", "odd id", "quoted", "ragged", "blank"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "", " ", "\t"])))
+            continue
+        cells = list(draw(st.sampled_from(_UNIT_CELLS[k])))
+        if kind == "odd cell":
+            cells[draw(st.integers(0, k - 1))] = draw(st.sampled_from(_ODD_CELLS))
+        pad = st.sampled_from(_PADS)
+        cells = [draw(pad) + cell + draw(pad) for cell in cells]
+        if kind == "ragged":
+            cells = (cells + ["0"])[: k + draw(st.sampled_from([-1, 1]))]
+        post_id = draw(st.sampled_from(_ODD_IDS)) if kind == "odd id" else draw(pad) + f"p{i}"
+        if kind == "quoted":
+            post_id = f'"{post_id}"'
+            cells = [f'"{cell}"' if draw(st.booleans()) else cell for cell in cells]
+        lines.append(",".join([post_id, *cells]))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
 class TestLoadDistMatrix:
     def test_valid_matrix(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -165,6 +228,74 @@ class TestLoadDistMatrix:
         with pytest.raises(ValueError, match=r"m\.csv, line 2: invalid UTF-8 \(byte 0xff") as err:
             load_dist_matrix(path)
         assert not isinstance(err.value, UnicodeDecodeError)
+
+    @pytest.mark.parametrize("lineterminator", ["\r\n", "\n"], ids=["crlf", "lf"])
+    def test_valid_files_take_bulk_path(self, tmp_path, monkeypatch, lineterminator):
+        # Written as perfbench/gen.py writes its matrices: csv.writer, repr cells.
+        rng = random.Random(7)
+        path = tmp_path / "m.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator=lineterminator)
+            writer.writerow(["post_id", *(f"topic_{j}" for j in range(6))])
+            for i in range(40):
+                cells = ["0"] * 6
+                for j in rng.sample(range(6), 1 + i % 3):
+                    cells[j] = repr(rng.random() + 0.05)
+                total = sum(map(float, cells))
+                writer.writerow([f"p{i:06d}", *(repr(float(c) / total) for c in cells)])
+        expected = dist_outcome(pipeline._dist_matrix_rows, path)
+
+        def row_loop(path):
+            raise AssertionError("a valid file entered the row loop")
+
+        monkeypatch.setattr(pipeline, "_dist_matrix_rows", row_loop)
+        dist = load_dist_matrix(path)
+        assert (dist.post_ids, dist.matrix.shape, dist.matrix.tobytes()) == expected
+
+    def test_overflowing_row_sum_names_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("post_id,t0,t1\na,1e308,1e308\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: non-finite probability"):
+            load_dist_matrix(path)
+
+    def test_field_over_csv_limit_goes_to_row_loop(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("post_id,t0\na," + " " * csv.field_size_limit() + "1\n", encoding="utf-8")
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_dist_matrix(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # Left to right the total is 1.000000001, outside the bound; numpy's
+            # pairwise sum is 1.0000000009999999, inside it.
+            ("post_id" + "".join(f",t{j}" for j in range(19)) + "\np0," + ",".join(
+                ["0.0682014569126122", "0.07564655861106571", "0.0315119919400467",
+                 "0.06855061971810426", "0.06758043065105768", "0.060577188064013555",
+                 "0.057910392254037116", "0.06624963136436014", "0.03169561950015194",
+                 "0.06143821707158237", "0.024493676102782632", "0.04235759117325434",
+                 "0.0671312347489827", "0.06025330065317231", "0.02562743153657384",
+                 "0.08246311548983595", "0.05666096701870159", "0.050640605656810674",
+                 "0.0010099725328541137"]
+            ) + "\n").encode(),
+            b"post_id,t0\np0,1\r \n",  # a lone CR ends a line, so " " is a row
+            b'post_id,t0,t1\n"p0",0.5,0.5\n',
+        ],
+        ids=["total-at-bound", "lone-cr", "quoted-id"],
+    )
+    def test_doubtful_files_agree_with_row_loop(self, tmp_path, data):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        expected = dist_outcome(pipeline._dist_matrix_rows, path)
+        assert dist_outcome(load_dist_matrix, path) == expected
+
+    @settings(deadline=None, max_examples=300)
+    @given(dist_matrix_bytes())
+    def test_bulk_path_agrees_with_row_loop(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz-dist.csv"
+        path.write_bytes(data)
+        expected = dist_outcome(pipeline._dist_matrix_rows, path)
+        assert dist_outcome(load_dist_matrix, path) == expected
 
 
 @pytest.fixture(scope="module")

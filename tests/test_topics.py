@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -731,6 +732,18 @@ class TestLoadVectors:
         path.write_text('{"id": "a", "vector": [1, 2]}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"vecs\.jsonl, {pattern}"):
             load_vectors(path)
+
+    @pytest.mark.parametrize("big", ["1e300", "1" + "0" * 300], ids=["float", "integer"])
+    def test_large_components_normalize_like_small_ones(self, tmp_path, big):
+        path = tmp_path / "vecs.jsonl"
+        path.write_text(
+            '{"id": "a", "vector": [%s, %s]}\n{"id": "b", "vector": [1, 1]}\n' % (big, big),
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vecs = load_vectors(path)
+        assert vecs.matrix[0].tobytes() == vecs.matrix[1].tobytes()
 
     def test_zero_vector_rejected(self, tmp_path):
         path = tmp_path / "vecs.jsonl"
