@@ -210,15 +210,16 @@ def _dist_matrix_rows(path: Path) -> topics_mod.TopicDistribution:
             values = np.array(cells)
             if (values < 0).any():
                 raise ValueError(f"{path}, line {lineno}: negative probability")
-            # Python's left-to-right sum: which rows pass the 1e-9 test, and the
-            # total an error reports, do not depend on numpy's summation order.
             total = sum(cells)
             if not math.isfinite(total):  # a NaN or inf cell
                 raise ValueError(f"{path}, line {lineno}: non-finite probability")
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(
-                    f"{path}, line {lineno}: probabilities sum to {total!r}, expected 1"
-                )
+            # Python's left-to-right total, then numpy's pairwise total, which
+            # TopicDistribution checks: near the bound a row can pass only one.
+            for total in (total, float(values.sum())):
+                if abs(total - 1.0) > 1e-9:
+                    raise ValueError(
+                        f"{path}, line {lineno}: probabilities sum to {total!r}, expected 1"
+                    )
             ids.append(post_id)
             rows.append(values)
 
@@ -263,8 +264,10 @@ def _clustered_topics(config: RunConfig, all_ids: set[str], live_docs):
     if config.vectors_path is None:
         rows, excluded_ids = topics_mod.vectorize(live_docs), []
     else:
-        loaded = topics_mod.load_vectors(config.vectors_path)
-        rows, excluded_ids = _keep_live(loaded, "vectors file", all_ids, live_docs)
+        # No name holds the loaded matrix, so it is freed once its live rows are copied.
+        rows, excluded_ids = _keep_live(
+            topics_mod.load_vectors(config.vectors_path), "vectors file", all_ids, live_docs
+        )
     model = topics_mod.cluster(rows, config.n_topics, config.seed)
     doc_of = {doc.post_id: doc for doc in live_docs}
     docs = [doc_of[post_id] for post_id in rows.post_ids]

@@ -7,23 +7,17 @@ The rows feed a seeded spherical k-means; clusters are described by their
 top class-based TF-IDF terms and every document receives a soft topic
 distribution from a temperature softmax over centroid cosines.
 
-Products of the rows with the centroids are taken one dense row block at
-a time. Blocks hold ``_BLOCK_ROWS`` rows and the remainder joins the last
-block, so no block is smaller than that and fewer than ``2 * _BLOCK_ROWS``
-rows form one block: the product over all rows at once. Every block must
-be large enough for BLAS to sum each dot product the way it does in one
-product over all rows; smaller blocks (single rows go to ``gemv``) can
-round differently and change the report bytes.
+Cosines are :meth:`DocMatrix.dots`. A TF-IDF row adds its non-zero
+products in column order, one ``bincount`` per centroid, so its labels,
+ties and soft rows come from fixed-order sums that no BLAS build or
+thread count touches. Supplied embeddings take one dense BLAS product and
+stay tied to the BLAS's summation order.
 
-The Lloyd steps screen with cheaper sums instead. An n x k screening
-matrix holds :meth:`DocMatrix.dots` of every row with every centroid: the
-k-means++ seeding dots first, then, after each update, fresh columns for
-the centroids that moved. Those sums round differently from the block
-products, but by at most about n_features * eps / 2 each, so a row whose
-best two screening values lie more than ``4 * n_features * eps`` apart
-has the block product's argmax. Every row block that holds a closer row
-is multiplied out exactly, so labels, ties and report bytes stay those
-of one full block product per step.
+:func:`cluster` keeps a k x n matrix of these cosines: the k-means++
+seeding dots first, then, after each update, fresh rows for the centroids
+that moved. A label is the argmax of its column, the lowest index winning
+ties. The model carries the final matrix, from which :func:`soft_assign`
+takes the soft rows without a second product.
 """
 
 from __future__ import annotations
@@ -50,17 +44,6 @@ __all__ = [
     "soft_assign",
     "topic_prevalence",
 ]
-
-
-# Row-block size for dense products; 64-row blocks were the smallest
-# checked to give bit-identical products with 1 and 2 OpenBLAS threads.
-_BLOCK_ROWS = 1024
-
-
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """Row ranges of ``_BLOCK_ROWS`` rows, the remainder folded into the last."""
-    starts = [i * _BLOCK_ROWS for i in range(max(1, n // _BLOCK_ROWS))]
-    return list(zip(starts, starts[1:] + [n]))
 
 
 @dataclass(frozen=True)
@@ -117,20 +100,18 @@ class DocMatrix:
     def dots(self, vectors: np.ndarray) -> np.ndarray:
         """Dot products of every row with dense ``vectors`` of n_features.
 
-        One vector gives shape (n,), a (m, n_features) stack gives (n, m).
-        Sparse rows sum their products over their non-zeros in column
-        order (one ``bincount`` per vector); dense rows take one BLAS
-        ``gemv`` for a vector, one ``gemm`` for a stack. Either order can
-        differ from the row-block products in the last bits.
-        :func:`cluster` uses these sums to seed and to screen the Lloyd
-        similarities.
+        One vector gives shape (n,), a (m, n_features) stack gives (m, n).
+        Sparse rows add their products over their non-zeros in column
+        order (one ``bincount`` per vector), so a stack gives the bits of
+        one vector at a time. Dense rows take one BLAS ``gemv`` for a
+        vector, one ``gemm`` for a stack.
         """
         if self.matrix is not None:
-            return self.matrix @ vectors.T
+            return (self.matrix @ vectors.T).T
         if vectors.ndim == 2:
-            out = np.empty((len(self), len(vectors)))
-            for j, vector in enumerate(vectors):
-                out[:, j] = self.dots(vector)
+            out = np.empty((len(vectors), len(self)))
+            for row, vector in zip(out, vectors):
+                row[:] = self.dots(vector)
             return out
         _, indices, data = self.csr
         return np.bincount(self._row_of, weights=data * vectors[indices], minlength=len(self))
@@ -158,6 +139,8 @@ class TopicModel:
     vocabulary: tuple[str, ...]  # the DocMatrix terms; empty for embeddings
     centroids: np.ndarray  # shape (k, n_features), unit rows
     labels: np.ndarray  # cluster index in [0, k) of each DocMatrix row, in post_ids order
+    # DocMatrix.dots of the clustered rows with the centroids, shape (k, n)
+    sims: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -192,14 +175,6 @@ class TopicDistribution:
 
     def column(self, topic: int) -> np.ndarray:
         return self.matrix[:, topic]
-
-
-def _unit_rows(mat: np.ndarray) -> np.ndarray:
-    # The rows have already been scaled to unit norm once; this second pass
-    # rounds them once more, and the reports' last digits depend on it.
-    norms = np.linalg.norm(mat, axis=1)
-    norms[norms == 0] = 1.0
-    return mat / norms[:, None]
 
 
 def _term_counts(docs: Sequence[CleanDoc]):
@@ -241,18 +216,14 @@ def vectorize(docs: Sequence[CleanDoc]) -> DocMatrix:
 
     raw = tf * idf[indices]
     squares = (raw * raw).tolist()
-    # First pass: each row over its exactly rounded (fsum) norm.
+    # Each row over its exactly rounded (fsum) norm.
     norms = np.sqrt([math.fsum(squares[a:b]) for a, b in zip(indptr[:-1], indptr[1:])])
     post_ids = tuple(d.post_id for d in non_empty)
-    once = DocMatrix(post_ids, terms, csr=(indptr, indices, raw / norms[row_of]))
+    return DocMatrix(post_ids, terms, csr=(indptr, indices, raw / norms[row_of]))
 
-    # The second pass of _unit_rows, on dense row blocks: numpy's pairwise
-    # sum over a dense row groups terms by column position, so a norm over
-    # the non-zeros alone could round differently.
-    norms = np.concatenate(
-        [np.linalg.norm(once.rows(a, b), axis=1) for a, b in _row_blocks(n_docs)]
-    )
-    return DocMatrix(post_ids, terms, csr=(indptr, indices, once.csr[2] / norms[row_of]))
+
+# The smallest norm whose squares sum without rounding in subnormals.
+_SAFE_NORM = math.sqrt(np.finfo(float).tiny)
 
 
 def load_vectors(path: str | Path) -> DocMatrix:
@@ -283,45 +254,15 @@ def load_vectors(path: str | Path) -> DocMatrix:
             raise ValueError(f"{path}, line {lineno}: 'vector' entry too large") from None
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(arr))
-        if norm == math.inf and np.isfinite(arr).all():  # the squares overflow
+        if not _SAFE_NORM <= norm < math.inf and np.isfinite(arr).all() and arr.any():
+            # The squares overflow, or underflow into subnormals or zero.
             arr = arr / np.abs(arr).max()
             norm = float(np.linalg.norm(arr))
         if norm <= 0.0 or not np.isfinite(norm):
             raise ValueError(f"{path}, line {lineno}: vector for {post_id!r} has no norm")
         rows[post_id] = arr / norm
     mat = np.array(list(rows.values())).reshape(len(rows), dim or 0)
-    return DocMatrix(tuple(rows), (), _unit_rows(mat))
-
-
-def _similarities(docs: DocMatrix, centroids: np.ndarray) -> np.ndarray:
-    """Every row's dot product with every centroid, one row block at a time."""
-    sims = np.empty((len(docs), centroids.shape[0]))
-    for start, stop in _row_blocks(len(docs)):
-        np.matmul(docs.rows(start, stop), centroids.T, out=sims[start:stop])
-    return sims
-
-
-def _nearest(docs: DocMatrix, centroids: np.ndarray, sims: np.ndarray) -> np.ndarray:
-    """Index of every row's nearest centroid, as the row-block products give it.
-
-    ``sims`` screens the similarities: each cell may differ from the block
-    product by at most about n_features * eps / 2 (see the module docstring).
-    A row whose best two screening values lie more than ``4 * n_features *
-    eps`` apart keeps the screening argmax, which no such error can flip.
-    Every row block that holds a closer row is multiplied out exactly, so
-    ties and near-ties are decided as the block product decides them.
-    """
-    k = centroids.shape[0]
-    tolerance = 4 * docs.n_features * np.finfo(float).eps
-    labels = np.empty(len(docs), dtype=np.intp)
-    for start, stop in _row_blocks(len(docs)):
-        block = sims[start:stop]
-        if k > 1:
-            best_two = np.partition(block, k - 2, axis=1)[:, k - 2 :]
-            if (best_two[:, 1] - best_two[:, 0] <= tolerance).any():
-                block = docs.rows(start, stop) @ centroids.T
-        labels[start:stop] = block.argmax(axis=1)  # the lowest index on ties
-    return labels
+    return DocMatrix(tuple(rows), (), mat)
 
 
 def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicModel:
@@ -329,21 +270,16 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
 
     Distances are cosine-based (rows and centroids are unit length, so
     similarity is a dot product). Each centroid is the normalized mean of
-    its members, summed in row order. Labels are the argmax of the dense
-    row-block products (see the module docstring): nearest-centroid ties
-    break toward the lowest cluster index, and a cluster that empties out
-    is re-seeded with the most isolated document. The result is a
-    deterministic function of (docs, k, seed).
-
-    The labels come without a full product per iteration: an n x k
-    screening matrix holds :meth:`DocMatrix.dots` of every row with every
-    centroid, starting as the seeding dots, and after an update only the
-    columns of centroids that moved are taken again (a centroid that keeps
-    its members comes out bit-identical). :func:`_nearest` keeps the
-    screening argmax only where the best two values lie further apart
-    than rounding can bridge (``4 * n_features * eps``, see the module
-    docstring) and multiplies out exactly every row block where they do
-    not. A re-seed orders the documents by one full product.
+    its members, summed in row order. A k x n matrix holds
+    :meth:`DocMatrix.dots` of every centroid with every row, starting as
+    the seeding dots; after an update only the rows of centroids that
+    moved are taken again (a centroid that keeps its members comes out
+    bit-identical). Dense rows take all k rows again in one product
+    instead. Labels are the matrix's column argmax, so nearest-centroid
+    ties break toward the lowest cluster index, and a cluster that empties
+    out is re-seeded with the most isolated document by that matrix. The
+    result, final matrix included, is a deterministic function of
+    (docs, k, seed).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -352,7 +288,16 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
 
     n = len(docs)
     rng = np.random.default_rng(seed)
-    sims = np.empty((n, k))  # sims[:, kk] screens centroid kk
+    sims = np.empty((k, n))  # sims[kk]: every row's dot with centroid kk
+
+    def retake(changed):
+        if docs.matrix is not None:
+            # Dense rows take every centroid again: BLAS sums a lone vector
+            # (gemv) in another order than a stack (gemm).
+            sims[:] = docs.dots(centroids)
+            return
+        for kk in changed:
+            sims[kk] = docs.dots(centroids[kk])
 
     # k-means++ seeding on cosine distance.
     centroids = np.empty((k, docs.n_features))
@@ -366,34 +311,35 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
             else:
                 nxt = int(rng.choice(n, p=dist / total))
         centroids[kk] = docs.rows(nxt, nxt + 1)[0]
-        sims[:, kk] = docs.dots(centroids[kk])
-        dist = np.minimum(dist, np.maximum(1.0 - sims[:, kk], 0.0))
+        sims[kk] = docs.dots(centroids[kk])
+        dist = np.minimum(dist, np.maximum(1.0 - sims[kk], 0.0))
+    retake([])  # dense rows: the seeds' gemv sums become one gemm's
 
     labels = np.full(n, -1)
     for _ in range(max_iters):
-        new_labels = _nearest(docs, centroids, sims)
+        # The first centroid to reach a row's best cosine: ties go to the lowest index.
+        new_labels = (sims == sims.max(axis=0)).argmax(axis=0)
 
         # Re-seed empty clusters with the most isolated document, stealing
         # only from clusters that keep at least one member.
         counts = np.bincount(new_labels, minlength=k)
-        if (counts == 0).any():
-            best = _similarities(docs, centroids).max(axis=1)
-            order = [int(i) for i in np.argsort(best, kind="stable")]
-            for kk in range(k):
-                if counts[kk] > 0:
-                    continue
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            order = [int(i) for i in np.argsort(sims.max(axis=0), kind="stable")]
+            for kk in empty:
                 pick = next(i for i in order if counts[new_labels[i]] > 1)
                 counts[new_labels[pick]] -= 1
                 new_labels[pick] = kk
                 counts[kk] = 1
                 centroids[kk] = docs.rows(pick, pick + 1)[0]
-                sims[:, kk] = docs.dots(centroids[kk])
+            retake(empty)
 
         if (new_labels == labels).all():
             break
         labels = new_labels
-        means = docs.label_sums(labels, k) / counts[:, None]
-        moved = []  # only a moved centroid is screened again
+        means = docs.label_sums(labels, k)
+        means /= counts[:, None]
+        moved = []  # only a moved centroid is dotted again
         for kk, mean in enumerate(means):
             norm = np.linalg.norm(mean)
             if norm > 0:
@@ -402,9 +348,9 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
                     centroids[kk] = mean
                     moved.append(kk)
         if moved:
-            sims[:, moved] = docs.dots(centroids[moved])
+            retake(moved)
 
-    return TopicModel(k=k, vocabulary=docs.terms, centroids=centroids, labels=labels)
+    return TopicModel(k, docs.terms, centroids, labels, sims)
 
 
 def ctfidf_weight(tf_tc: float, tf_t: float, avg_words: float) -> float:
@@ -473,19 +419,25 @@ def soft_assign(
 
     Row i is softmax(cos(row_i, centroid_k) / temperature); lower
     temperatures sharpen rows toward the hard assignment. ``docs`` must
-    have the features the model was clustered on. The products are the
-    row-block products that decide the labels in :func:`cluster`.
+    have the features the model was clustered on. The cosines are the
+    model's ``sims`` when it carries them, which requires ``docs`` to be
+    the rows it was clustered on; otherwise ``docs.dots`` of the
+    centroids, the same values.
     """
     check_temperature(temperature)
     if model.k < 1:
         raise ValueError("model has no centroids")
     if docs.terms != model.vocabulary:
         raise ValueError("documents and model have different features")
+    sims = model.sims if model.sims is not None else docs.dots(model.centroids)
+    if sims.shape != (model.k, len(docs)):
+        raise ValueError(f"model similarities of shape {sims.shape} do not match the documents")
 
-    # The softmax runs in place: one n x k array, the values of the
-    # out-of-place expressions.
-    dist = _similarities(docs, model.centroids)
-    dist /= temperature
+    # The softmax runs in place on one n x k copy: the values of the
+    # out-of-place expressions, each row summed as a contiguous row.
+    # Fresh dots are freed once copied.
+    dist = np.divide(sims.T, temperature, order="C")
+    del sims
     dist -= dist.max(axis=1, keepdims=True)
     np.exp(dist, out=dist)
     dist /= dist.sum(axis=1, keepdims=True)

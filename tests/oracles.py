@@ -52,13 +52,14 @@ def grid_possibility(a, m, b, kind, ramp):
     return float(np.minimum(tri, concept).max())
 
 
-def dense_tfidf(token_lists):
+def dense_tfidf(token_lists, second_pass=False):
     """Smoothed TF-IDF rows built on one dense n x V array.
 
     Returns the sorted vocabulary and the matrix whose rows follow the
     non-empty token lists. Weight of term t is tf * (ln((1 + D) / (1 + df)) + 1);
-    each row is divided by its exactly summed (fsum) norm, then the whole
-    matrix once more by numpy's row norms.
+    each row is divided by its exactly summed (fsum) norm. ``second_pass``
+    divides the whole matrix once more by numpy's row norms, which moves
+    cells by a few ulps.
     """
     docs = [tokens for tokens in token_lists if tokens]
     n_docs = len(docs)
@@ -74,25 +75,55 @@ def dense_tfidf(token_lists):
         norm = math.sqrt(math.fsum(v * v for v in raw.values()))
         for t, v in raw.items():
             mat[i, column[t]] = v / norm
-    return terms, mat / np.linalg.norm(mat, axis=1)[:, None]
+    if second_pass:
+        mat = mat / np.linalg.norm(mat, axis=1)[:, None]
+    return terms, mat
+
+
+def fixed_order_dots(rows, centroids):
+    """Every row's dot product with every centroid, shape (n, k).
+
+    Each row adds the products of its non-zero cells one at a time, in
+    column order, starting from 0.0: the order that defines the cosines
+    of sparse rows. Step q adds the q-th non-zero product of every row
+    that has one.
+    """
+    nonzero = [np.flatnonzero(row) for row in rows]
+    sims = np.zeros((len(rows), len(centroids)))
+    for q in range(max(map(len, nonzero), default=0)):
+        live = [i for i, cols in enumerate(nonzero) if len(cols) > q]
+        cols = [nonzero[i][q] for i in live]
+        sims[live] += rows[live, cols][:, None] * centroids[:, cols].T
+    return sims
 
 
 def lloyd_reference(docs, k, seed, max_iters=100):
     """Seeded spherical k-means with one full similarity product per step.
 
-    This is the Lloyd loop of ``topics.cluster`` before it kept a screening
-    matrix: every iteration multiplies out all rows against all centroids.
-    Bit-equality with the library rests on the same BLAS calls, so it takes
-    the library's row-block product and reads rows through the DocMatrix
-    accessors. Returns the labels and the centroids.
+    This is the Lloyd loop of ``topics.cluster`` before it kept its
+    similarity matrix between steps: every iteration multiplies out all
+    rows against all centroids. Sparse rows take :func:`fixed_order_dots`
+    of their dense copies; dense rows take the BLAS products that define
+    their cosines (``gemv`` for one seed, ``gemm`` for all centroids).
+    Centroids come from ``DocMatrix.label_sums``. Returns the labels, the
+    centroids and the rows' similarities with those centroids, shape (n, k).
     """
-    from topicmood.topics import _similarities
-
     n = len(docs)
+    rows = docs.rows(0, n)
+
+    def dots(centroids):
+        if docs.csr is None:
+            return rows @ centroids.T
+        return fixed_order_dots(rows, centroids)
+
+    def seed_distances(i):
+        sims = rows @ rows[i] if docs.csr is None else dots(rows[[i]])[:, 0]
+        return np.maximum(1.0 - sims, 0.0)
+
     rng = np.random.default_rng(seed)
     first = int(rng.integers(n))
     chosen = [first]
-    dist = np.maximum(1.0 - docs.dots(docs.rows(first, first + 1)[0]), 0.0)
+    dist = seed_distances(first)
     for _ in range(1, k):
         total = float(dist.sum())
         if total <= 1e-12:
@@ -100,12 +131,12 @@ def lloyd_reference(docs, k, seed, max_iters=100):
         else:
             nxt = int(rng.choice(n, p=dist / total))
         chosen.append(nxt)
-        dist = np.minimum(dist, np.maximum(1.0 - docs.dots(docs.rows(nxt, nxt + 1)[0]), 0.0))
-    centroids = np.vstack([docs.rows(j, j + 1) for j in chosen])
+        dist = np.minimum(dist, seed_distances(nxt))
+    centroids = rows[chosen]
 
     labels = np.full(n, -1)
     for _ in range(max_iters):
-        sims = _similarities(docs, centroids)
+        sims = dots(centroids)
         new_labels = sims.argmax(axis=1)
         counts = np.bincount(new_labels, minlength=k)
         if (counts == 0).any():
@@ -117,7 +148,7 @@ def lloyd_reference(docs, k, seed, max_iters=100):
                 counts[new_labels[pick]] -= 1
                 new_labels[pick] = kk
                 counts[kk] = 1
-                centroids[kk] = docs.rows(pick, pick + 1)[0]
+                centroids[kk] = rows[pick]
         if (new_labels == labels).all():
             break
         labels = new_labels
@@ -126,7 +157,7 @@ def lloyd_reference(docs, k, seed, max_iters=100):
             norm = np.linalg.norm(mean)
             if norm > 0:
                 centroids[kk] = mean / norm
-    return labels, centroids
+    return labels, centroids, dots(centroids)
 
 
 def ctfidf_weight(tf_tc, tf_t, avg_words):

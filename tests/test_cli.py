@@ -203,7 +203,7 @@ class TestModuleInvocation:
 
 class TestBlasThreads:
     def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # 2,500 posts form two row blocks (1,024 and 1,476 rows).
+        # 2,500 posts in 42 topics: products large enough for BLAS to split over threads.
         corpus = write_jsonl(tmp_path / "posts.jsonl", many_group_records(2500, 42))
         out_dir = tmp_path / "out"
         outputs = []

@@ -19,7 +19,7 @@ from topicmood.fuzzy import (
     weighted_std,
 )
 
-from oracles import grid_possibility, spreadsheet_weighted_stats
+from oracles import GRID_STEP, grid_possibility, spreadsheet_weighted_stats
 
 # Three-post worked example (polarity column and the three weight columns).
 VALUES = (0.5, 0.35, -0.2)
@@ -442,3 +442,47 @@ class TestAggregateTopicProperties:
         scaled_column = [lam * d for d in column]
         scaled = aggregate_topic(values, scaled_column, post_weights, scale=scale, ramp=ramp)
         assert_same_result(scaled, base)
+
+
+CORE = st.floats(-1.0, 1.0)
+# Legs of at least 0.01 keep a triangle wide enough for the grid oracle.
+LEG = st.floats(0.01, 1.0)
+
+
+class TestPossibilityProperties:
+    """``possibility`` and ``conformity`` on drawn TFNs and ramps."""
+
+    @given(CORE, st.floats(0.0, 1.0), st.floats(0.0, 1.0), RAMP)
+    def test_values_lie_in_unit_interval(self, m, left, right, ramp):
+        t = TFN(m - left, m, m + right)
+        c = conformity(t, ramp)
+        for value in (*c, possibility(t, OpinionConcept.positive(ramp))):
+            assert 0.0 <= value <= 1.0
+        assert c.negativity == possibility(t, OpinionConcept.negative(ramp))
+
+    @given(CORE, st.floats(0.0, 1.0), st.floats(0.0, 1.0), RAMP)
+    def test_negativity_is_positivity_of_mirror(self, m, left, right, ramp):
+        t = TFN(m - left, m, m + right)
+        assert conformity(t, ramp).negativity == conformity(t.mirrored(), ramp).positivity
+        assert possibility(t, OpinionConcept.negative(ramp)) == possibility(
+            t.mirrored(), OpinionConcept.positive(ramp)
+        )
+
+    @given(CORE, CORE, st.floats(0.0, 1.0), st.floats(0.0, 1.0), RAMP)
+    def test_monotone_in_core_at_fixed_width(self, m1, m2, left, right, ramp):
+        lo, hi = sorted((m1, m2))
+        low = conformity(TFN(lo - left, lo, lo + right), ramp)
+        high = conformity(TFN(hi - left, hi, hi + right), ramp)
+        assert low.positivity <= high.positivity
+        assert low.negativity >= high.negativity
+
+    @settings(deadline=None)
+    @given(CORE, LEG, LEG, RAMP)
+    def test_agrees_with_grid_oracle_within_grid_step(self, m, left, right, ramp):
+        # The grid misses the supremum by at most one step along the
+        # steepest leg in play: the triangle's or the concept's ramp.
+        t = TFN(m - left, m, m + right)
+        tolerance = GRID_STEP * max(1.0 / left, 1.0 / right, 1.0 / ramp)
+        c = conformity(t, ramp)
+        assert abs(c.positivity - grid_possibility(t.a, t.m, t.b, "positive", ramp)) <= tolerance
+        assert abs(c.negativity - grid_possibility(t.a, t.m, t.b, "negative", ramp)) <= tolerance

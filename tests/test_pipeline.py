@@ -289,6 +289,31 @@ class TestLoadDistMatrix:
         expected = dist_outcome(pipeline._dist_matrix_rows, path)
         assert dist_outcome(load_dist_matrix, path) == expected
 
+    def test_row_failing_only_the_pairwise_total_names_line(self, tmp_path):
+        # Left to right these 31 cells total 1.0000000009999999, inside the
+        # bound; numpy's pairwise sum, which TopicDistribution checks, is
+        # 1.000000001, outside it.
+        cells = [
+            "0.05330480891233829", "0.016046843313510865", "0.04959131186504629",
+            "0.03380096610772727", "0.0008649965983574272", "0.04433523706456483",
+            "0.024568321737338195", "0.050812087644037815", "0.041159563264863086",
+            "7.039993789717082e-05", "0.03040537616741308", "0.053446052882525075",
+            "0.015025394100806664", "0.020033234171194163", "0.053622755503025726",
+            "0.011770112043206564", "0.03495978794833371", "0.014699214778489378",
+            "0.05960239967375349", "0.049477449360289125", "0.027595814675798955",
+            "0.004955622081885098", "0.019715998853172028", "0.031290151677902556",
+            "0.05746441494717671", "0.006718179754067118", "0.03395915644717151",
+            "0.04352558514470943", "0.03372344663178191", "0.05017277523323837",
+            "0.033282542478378224",
+        ]
+        path = tmp_path / "m.csv"
+        header = "post_id" + "".join(f",t{j}" for j in range(31))
+        path.write_text(f"{header}\np0,{','.join(cells)}\n", encoding="utf-8")
+        pattern = r"m\.csv, line 2: probabilities sum to 1\.000000001, expected 1"
+        for load in (load_dist_matrix, pipeline._dist_matrix_rows):
+            with pytest.raises(ValueError, match=pattern):
+                load(path)
+
     @settings(deadline=None, max_examples=300)
     @given(dist_matrix_bytes())
     def test_bulk_path_agrees_with_row_loop(self, tmp_path_factory, data):

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from topicmood.topics import (
     vectorize,
 )
 
-from oracles import ctfidf_reference, dense_tfidf, lloyd_reference
+from oracles import ctfidf_reference, dense_tfidf, fixed_order_dots, lloyd_reference
 from synthdata import many_group_records
 
 
@@ -135,6 +136,21 @@ class TestCluster:
         model = cluster(vecs, 3, seed=2)
         assert sorted(model.labels.tolist()) == [0, 1, 2]
 
+    def test_exact_tie_goes_to_lowest_index(self):
+        # Row 2 lies halfway between rows 0 and 1: its sums with those two
+        # seeds are exactly equal, and the first step labels it 0.
+        h = math.sqrt(0.5)
+        docs = as_docs(np.array([[1.0, 0.0], [0.0, 1.0], [h, h]]), sparse=True)
+        tied = 0
+        for seed in range(10):
+            seeds = cluster(docs, 2, seed, max_iters=0)
+            if {tuple(c) for c in seeds.centroids} != {(1.0, 0.0), (0.0, 1.0)}:
+                continue
+            assert seeds.sims[0, 2] == seeds.sims[1, 2]
+            assert cluster(docs, 2, seed, max_iters=1).labels[2] == 0
+            tied += 1
+        assert tied > 0
+
     def test_no_cluster_left_empty_on_duplicate_heavy_corpora(self):
         # Duplicates collapse onto one centroid under lowest-index tie
         # breaking; the re-seeding rule must still fill every cluster.
@@ -161,15 +177,7 @@ def duplicate_heavy_docs():
 
 
 class TestSparseRows:
-    """CSR TF-IDF rows give the bytes that the same rows stored dense give."""
-
-    def test_row_blocks(self):
-        b = topics._BLOCK_ROWS
-        assert topics._row_blocks(0) == [(0, 0)]
-        assert topics._row_blocks(b - 1) == [(0, b - 1)]
-        assert topics._row_blocks(2 * b - 1) == [(0, 2 * b - 1)]
-        assert topics._row_blocks(2 * b) == [(0, b), (b, 2 * b)]
-        assert topics._row_blocks(2500) == [(0, b), (b, 2500)]
+    """CSR TF-IDF rows against references built on the same rows stored dense."""
 
     @pytest.mark.parametrize("n_docs", [40, 2500])
     def test_densified_rows_match_dense_reference(self, n_docs):
@@ -184,6 +192,14 @@ class TestSparseRows:
         for a, b in zip(indptr[:-1], indptr[1:]):
             assert (np.diff(indices[a:b]) > 0).all()
 
+    def test_rows_within_few_ulps_of_twice_normalized_reference(self):
+        # A second division by numpy's row norms moves no cell by more
+        # than a few ulps: dropping it changes only the last bits.
+        docs = synth_docs(2500, 42)
+        vecs = vectorize(docs)
+        _, ref = dense_tfidf([d.tokens for d in docs], second_pass=True)
+        np.testing.assert_array_max_ulp(vecs.rows(0, len(vecs)), ref, maxulp=2)
+
     def test_dots_match_dense_products(self):
         vecs = vectorize(synth_docs(300, 7))
         dense = vecs.rows(0, len(vecs))
@@ -194,34 +210,41 @@ class TestSparseRows:
         vecs = vectorize(synth_docs(300, 7))
         dense = vecs.rows(0, len(vecs))
         stack = dense[[0, 17, 299]]
-        columns = np.column_stack([vecs.dots(v) for v in stack])
-        np.testing.assert_array_equal(vecs.dots(stack), columns)
+        rows = np.vstack([vecs.dots(v) for v in stack])
+        np.testing.assert_array_equal(vecs.dots(stack), rows)
         as_dense = DocMatrix(vecs.post_ids, vecs.terms, dense)
-        np.testing.assert_allclose(as_dense.dots(stack), dense @ stack.T, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(as_dense.dots(stack), stack @ dense.T, rtol=0, atol=1e-15)
+
+    def test_dots_are_fixed_order_sums(self):
+        vecs = vectorize(synth_docs(300, 7))
+        dense = vecs.rows(0, len(vecs))
+        stack = dense[[0, 17, 299]]
+        np.testing.assert_array_equal(vecs.dots(stack), fixed_order_dots(dense, stack).T)
 
     @pytest.mark.parametrize("case", ["below-one-block", "two-blocks", "re-seed"])
     def test_cluster_and_soft_assign_match_dense_rows(self, case):
+        # Labels, centroids and soft rows are those of the fixed-order sums
+        # over the dense rows' non-zero cells, taken in full every step.
         if case == "below-one-block":
             vecs, k = vectorize(synth_docs(300, 7)), 7
         elif case == "two-blocks":
-            # 2,500 rows: a 1,024-row block and a 1,476-row block.
             vecs, k = vectorize(synth_docs(2500, 42)), 42
-            assert len(topics._row_blocks(len(vecs))) == 2
         else:
             # 8 documents with at most 4 distinct rows: k = 7 seeds a
             # duplicate centroid, which loses its ties and must be re-seeded.
             vecs, k = vectorize(duplicate_heavy_docs()), 7
             assert len(np.unique(vecs.rows(0, len(vecs)), axis=0)) < k
-        dense = DocMatrix(vecs.post_ids, vecs.terms, vecs.rows(0, len(vecs)))
         for seed in (0, 3):
-            sparse_model = cluster(vecs, k, seed)
-            dense_model = cluster(dense, k, seed)
-            np.testing.assert_array_equal(sparse_model.labels, dense_model.labels)
-            assert len(set(sparse_model.labels.tolist())) == k
-            np.testing.assert_array_equal(sparse_model.centroids, dense_model.centroids)
+            model = cluster(vecs, k, seed)
+            labels, centroids, sims = lloyd_reference(vecs, k, seed)
+            np.testing.assert_array_equal(model.labels, labels)
+            assert len(set(model.labels.tolist())) == k
+            np.testing.assert_array_equal(model.centroids, centroids)
+            scaled = sims / 0.25
+            weights = np.exp(scaled - scaled.max(axis=1, keepdims=True))
             np.testing.assert_array_equal(
-                soft_assign(vecs, sparse_model, 0.25).matrix,
-                soft_assign(dense, dense_model, 0.25).matrix,
+                soft_assign(vecs, model, 0.25).matrix,
+                weights / weights.sum(axis=1, keepdims=True),
             )
 
     def test_centroids_are_normalized_member_means(self):
@@ -234,8 +257,8 @@ class TestSparseRows:
             np.testing.assert_array_equal(model.centroids[kk], mean / np.linalg.norm(mean))
 
     def test_no_dense_doc_term_array(self):
-        # Dense row blocks stay below 2,048 rows, a small share of 12,000, so
-        # the peak stays below the size of one dense n x V array.
+        # No step densifies more than one row, so the peak stays below the
+        # size of one dense n x V array.
         docs = synth_docs(12000, 42)
         tracemalloc.start()
         try:
@@ -320,19 +343,19 @@ class TestLloydOracle:
         ks, seeds = ((6, 8), range(6)) if case == "near-duplicates" else ((k,), (0, 3))
         for k in ks:
             for seed in seeds:
-                labels, centroids = lloyd_reference(docs, k, seed)
+                labels, centroids, _ = lloyd_reference(docs, k, seed)
                 model = cluster(docs, k, seed)
                 np.testing.assert_array_equal(model.labels, labels)
                 np.testing.assert_array_equal(model.centroids, centroids)
 
     def test_tied_rows_tie_exactly_in_first_step(self):
-        # The block products of the first step (centroids = seeds) tie
-        # exactly on some rows; the screening sums need not.
+        # The fixed-order sums of the first step (centroids = seeds) tie
+        # exactly on some rows.
         docs = as_docs(tied_rows(), True)
         tied = 0
         for seed in (0, 3):
-            _, seeds = lloyd_reference(docs, 8, seed, max_iters=0)
-            best_two = np.sort(docs.rows(0, len(docs)) @ seeds.T, axis=1)[:, -2:]
+            _, _, sims = lloyd_reference(docs, 8, seed, max_iters=0)
+            best_two = np.sort(sims, axis=1)[:, -2:]
             tied += int((best_two[:, 1] == best_two[:, 0]).sum())
         assert tied > 0
 
@@ -363,23 +386,25 @@ def unit_centroids(draw, d):
     return centroids
 
 
-def block_products(docs, centroids):
-    return np.vstack([docs.rows(a, b) @ centroids.T for a, b in topics._row_blocks(len(docs))])
-
-
-class TestNearest:
+class TestCarriedSims:
     @settings(deadline=None)
-    @given(st.data(), unit_rows(), st.booleans())
-    def test_screen_within_quarter_tolerance_gives_block_argmax(self, data, mat, sparse):
+    @given(unit_rows(), st.booleans(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_soft_assign_from_carried_sims_matches_fresh_dots(self, mat, sparse, k, seed):
         docs = as_docs(mat, sparse)
-        centroids = data.draw(unit_centroids(docs.n_features))
-        exact = block_products(docs, centroids)
-        tolerance = 4 * docs.n_features * np.finfo(float).eps
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        sims = exact + rng.uniform(-1.0, 1.0, exact.shape) * (tolerance / 4)
+        model = cluster(docs, min(k, len(docs)), seed)
+        assert model.sims.shape == (model.k, len(docs))
         np.testing.assert_array_equal(
-            topics._nearest(docs, centroids, sims), exact.argmax(axis=1)
+            soft_assign(docs, model, 0.25).matrix,
+            soft_assign(docs, replace(model, sims=None), 0.25).matrix,
         )
+
+    def test_carried_sims_of_other_rows_rejected(self):
+        vecs = vectorize(two_group_docs())
+        model = cluster(vecs, 2, seed=1)
+        half = DocMatrix(vecs.post_ids[:8], vecs.terms, vecs.rows(0, 8))
+        with pytest.raises(ValueError, match="do not match the documents"):
+            soft_assign(half, model, 0.25)
+        assert soft_assign(half, replace(model, sims=None), 0.25).matrix.shape == (8, 2)
 
 
 def top_terms_of(clusters, n_terms):
@@ -738,6 +763,20 @@ class TestLoadVectors:
         path = tmp_path / "vecs.jsonl"
         path.write_text(
             '{"id": "a", "vector": [%s, %s]}\n{"id": "b", "vector": [1, 1]}\n' % (big, big),
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vecs = load_vectors(path)
+        assert vecs.matrix[0].tobytes() == vecs.matrix[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "small", ["1e-200", "1e-160"], ids=["squares-vanish", "subnormal-squares"]
+    )
+    def test_small_components_normalize_like_ordinary_ones(self, tmp_path, small):
+        path = tmp_path / "vecs.jsonl"
+        path.write_text(
+            '{"id": "a", "vector": [%s, %s]}\n{"id": "b", "vector": [1, 1]}\n' % (small, small),
             encoding="utf-8",
         )
         with warnings.catch_warnings():
