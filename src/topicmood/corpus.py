@@ -135,8 +135,9 @@ def _iter_jsonl(path: Path, error: type[ValueError] = CorpusError):
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}, line {lineno}: invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:  # syntax, over 4,300 digits, deep nesting
+                reason = getattr(exc, "msg", exc)  # a JSONDecodeError's, without its position
+                raise error(f"{path}, line {lineno}: invalid JSON ({reason})") from exc
             if not isinstance(record, dict):
                 raise error(f"{path}, line {lineno}: record must be a JSON object")
             yield lineno, record
@@ -154,21 +155,22 @@ def _parse_csv_number(raw: str | None, name: str, where: str) -> float | None:
 def _iter_csv(path: Path):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(utf8_lines(fh))
-        if reader.fieldnames is None:
-            return
-        missing = {"id", "text"} - set(reader.fieldnames)
-        if missing:
-            raise CorpusError(f"{path}: missing required column(s): {', '.join(sorted(missing))}")
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            record: dict = {"id": row.get("id") or "", "text": row.get("text")}
-            weight = _parse_csv_number(row.get("weight"), "weight", where)
-            if weight is not None:
-                record["weight"] = weight
-            polarity = _parse_csv_number(row.get("polarity"), "polarity", where)
-            if polarity is not None:
-                record["polarity"] = polarity
-            yield reader.line_num, record
+        try:
+            if reader.fieldnames is None:
+                return
+            missing = ", ".join(sorted({"id", "text"} - set(reader.fieldnames)))
+            if missing:
+                raise CorpusError(f"{path}, line 1: missing required column(s): {missing}")
+            for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                record: dict = {"id": row.get("id") or "", "text": row.get("text")}
+                for name in ("weight", "polarity"):
+                    number = _parse_csv_number(row.get(name), name, where)
+                    if number is not None:
+                        record[name] = number
+                yield reader.line_num, record
+        except csv.Error as exc:  # DictReader.line_num lags a bad row; its reader's does not
+            raise CorpusError(f"{path}, line {reader.reader.line_num}: {exc}") from None
 
 
 def load_posts(path: str | Path, fmt: str = "jsonl") -> list[Post]:

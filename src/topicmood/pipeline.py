@@ -20,7 +20,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -145,13 +145,14 @@ def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
     """Read a supplied topic-distribution matrix.
 
     CSV with a header row: first column ``post_id``, remaining columns one
-    per topic. Every row must be a probability vector (non-negative,
-    summing to 1 within 1e-9). A plain file (no quote, one cell per column
-    on every line) is parsed by one ``np.loadtxt`` call and checked as one
-    array. Any doubt sends it to a per-row loop, which alone raises.
+    per topic. Every row must be a probability vector: non-negative, with
+    numpy's pairwise total within 1e-9 of 1, the rule TopicDistribution
+    applies. A plain file (no quote, one cell per column on every line) is
+    parsed by one ``np.loadtxt`` call and checked as one array. Any doubt
+    sends it to a per-row loop, which alone raises.
     """
     path = Path(path)
-    # Invalid UTF-8, a cell loadtxt refuses or a sum that overflows: the row loop decides.
+    # Invalid UTF-8, a cell loadtxt refuses, a row TopicDistribution refuses: the row loop decides.
     with suppress(OSError, ValueError), np.errstate(all="ignore"):
         with open(path, encoding="utf-8", newline="") as fh:  # CR, LF and CRLF end a line
             lines = fh.read().replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -166,11 +167,7 @@ def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
                     for line in lines if line)
         ):
             mat = np.loadtxt(rows, delimiter=",", comments=None, usecols=range(1, k + 1), ndmin=2)
-            # Python's sum() adds left to right before 3.12 and with compensation
-            # since; sums of k non-negative cells near 1 differ by under k * eps.
-            bound = 1e-9 - k * np.finfo(float).eps
-            if 0 <= mat.min() and (np.abs(mat.sum(axis=1) - 1) <= bound).all():
-                return topics_mod.TopicDistribution(tuple(ids), mat)
+            return topics_mod.TopicDistribution(tuple(ids), mat)
     return _dist_matrix_rows(path)
 
 
@@ -204,22 +201,19 @@ def _dist_matrix_rows(path: Path) -> topics_mod.TopicDistribution:
                 raise ValueError(f"{path}, line {lineno}: duplicate post_id {post_id!r}")
             seen.add(post_id)
             try:
-                cells = list(map(float, row[1:]))
+                values = np.array([float(cell) for cell in row[1:]])
             except ValueError:
                 raise ValueError(f"{path}, line {lineno}: non-numeric probability") from None
-            values = np.array(cells)
             if (values < 0).any():
                 raise ValueError(f"{path}, line {lineno}: negative probability")
-            total = sum(cells)
+            with np.errstate(over="ignore"):
+                total = float(values.sum())  # TopicDistribution's pairwise total
             if not math.isfinite(total):  # a NaN or inf cell
                 raise ValueError(f"{path}, line {lineno}: non-finite probability")
-            # Python's left-to-right total, then numpy's pairwise total, which
-            # TopicDistribution checks: near the bound a row can pass only one.
-            for total in (total, float(values.sum())):
-                if abs(total - 1.0) > 1e-9:
-                    raise ValueError(
-                        f"{path}, line {lineno}: probabilities sum to {total!r}, expected 1"
-                    )
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(
+                    f"{path}, line {lineno}: probabilities sum to {total!r}, expected 1"
+                )
             ids.append(post_id)
             rows.append(values)
 
@@ -360,6 +354,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
 def _round6(value):
     if isinstance(value, float):
         return round(value, 6)
+    if is_dataclass(value):  # fields in declaration order, without asdict's deep copies
+        return {f.name: _round6(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {k: _round6(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -368,17 +364,8 @@ def _round6(value):
 
 
 def _report_dict(report: TopicReport) -> dict:
-    t = report.tfn
-    return {
-        "topic_id": report.topic_id,
-        "top_terms": [[term, round(w, 6)] for term, w in report.top_terms],
-        "prevalence": round(report.prevalence, 6),
-        "tfn": {"a": round(t.a, 6), "m": round(t.m, 6), "b": round(t.b, 6)},
-        "positivity": round(report.positivity, 6),
-        "negativity": round(report.negativity, 6),
-        "doc_count": report.doc_count,
-        "support_exceeds_polarity_range": bool(t.a < -1.0 or t.b > 1.0),
-    }
+    beyond = bool(report.tfn.a < -1.0 or report.tfn.b > 1.0)
+    return {**_round6(report), "support_exceeds_polarity_range": beyond}
 
 
 def emit_report(

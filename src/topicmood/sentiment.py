@@ -162,7 +162,7 @@ def score_polarity(doc: CleanDoc, lex: Lexicon, neg_window: int = 1) -> Polarity
     """
     if neg_window < 0:
         raise ValueError("neg_window must be >= 0")
-    hits: list[float] = []
+    total, n_hits = 0.0, 0
     tokens = doc.tokens
     for i, token in enumerate(tokens):
         base = lex.entries.get(token)
@@ -176,10 +176,11 @@ def score_polarity(doc: CleanDoc, lex: Lexicon, neg_window: int = 1) -> Polarity
                 mult = lex.intensifiers.get(prev)
                 if mult is not None:
                     value *= mult
-        hits.append(value)
-    if not hits:
+        total += value
+        n_hits += 1
+    if not n_hits:
         return PolarityScore(doc.post_id, 0.0, COMPUTED)
-    mean = sum(hits) / len(hits)
+    mean = total / n_hits
     return PolarityScore(doc.post_id, min(1.0, max(-1.0, mean)), COMPUTED)
 
 

@@ -1,10 +1,12 @@
 """Tests for post loading and text preprocessing."""
 
+import csv
 import json
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from topicmood.corpus import (
     CleanDoc,
@@ -15,6 +17,15 @@ from topicmood.corpus import (
     load_posts,
     load_stopwords,
     preprocess,
+)
+
+from fuzzfiles import (
+    DEEP_NESTING,
+    LONG_INTEGER,
+    OVER_CSV_LIMIT,
+    assert_loads_or_names_line,
+    posts_csv_bytes,
+    posts_jsonl_bytes,
 )
 
 STOPWORDS = {"the", "a", "is", "and", "of", "to"}
@@ -120,6 +131,24 @@ class TestLoadPostsJsonl:
         with pytest.raises(CorpusError, match="line 2"):
             load_posts(path, "jsonl")
 
+    @pytest.mark.parametrize(
+        "line", [DEEP_NESTING, LONG_INTEGER], ids=["deep-nesting", "long-integer"]
+    )
+    def test_json_the_parser_refuses_names_line(self, tmp_path, line):
+        path = tmp_path / "posts.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"posts\.jsonl, line 2: invalid JSON \("):
+            load_posts(path, "jsonl")
+
+    @settings(deadline=None, max_examples=200)
+    @given(posts_jsonl_bytes())
+    @example(DEEP_NESTING.encode()).via("the deep-nesting case")
+    @example(LONG_INTEGER.encode()).via("the long-integer case")
+    def test_any_file_loads_or_names_line(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz-posts.jsonl"
+        path.write_bytes(data)
+        assert_loads_or_names_line(lambda p: load_posts(p, "jsonl"), path, CorpusError)
+
     def test_invalid_utf8_names_line(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         path.write_bytes(b'{"id": "a", "text": "x"}\n{"id": "b", "text": "caf\xff"}\n')
@@ -184,6 +213,22 @@ class TestLoadPostsCsv:
         path.write_text("id,text,polarity\na,post,-2\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="polarity"):
             load_posts(path, "csv")
+
+    def test_field_over_csv_limit_names_line(self, tmp_path):
+        path = tmp_path / "posts.csv"
+        path.write_text(f"id,text\na,post one\nb,{OVER_CSV_LIMIT}\n", encoding="utf-8")
+        limit = csv.field_size_limit()
+        pattern = rf"posts\.csv, line 3: field larger than field limit \({limit}\)"
+        with pytest.raises(CorpusError, match=pattern):
+            load_posts(path, "csv")
+
+    @settings(deadline=None, max_examples=200)
+    @given(posts_csv_bytes())
+    @example(f"id,text\na,{OVER_CSV_LIMIT}\n".encode()).via("the over-limit case")
+    def test_any_file_loads_or_names_line(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz-posts.csv"
+        path.write_bytes(data)
+        assert_loads_or_names_line(lambda p: load_posts(p, "csv"), path, CorpusError)
 
 
 class TestFilterShort:

@@ -194,6 +194,22 @@ def dist_matrix_bytes(draw):
     return data
 
 
+# Left to right these 19 cells total 1.000000001, outside the bound; numpy's
+# pairwise sum is 1.0000000009999999, inside it.
+_TOTAL_AT_BOUND_CELLS = [
+    "0.0682014569126122", "0.07564655861106571", "0.0315119919400467",
+    "0.06855061971810426", "0.06758043065105768", "0.060577188064013555",
+    "0.057910392254037116", "0.06624963136436014", "0.03169561950015194",
+    "0.06143821707158237", "0.024493676102782632", "0.04235759117325434",
+    "0.0671312347489827", "0.06025330065317231", "0.02562743153657384",
+    "0.08246311548983595", "0.05666096701870159", "0.050640605656810674",
+    "0.0010099725328541137",
+]
+_TOTAL_AT_BOUND = "".join(
+    ["post_id", *(f",t{j}" for j in range(19)), "\np0,", ",".join(_TOTAL_AT_BOUND_CELLS), "\n"]
+).encode()
+
+
 class TestLoadDistMatrix:
     def test_valid_matrix(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -267,17 +283,7 @@ class TestLoadDistMatrix:
     @pytest.mark.parametrize(
         "data",
         [
-            # Left to right the total is 1.000000001, outside the bound; numpy's
-            # pairwise sum is 1.0000000009999999, inside it.
-            ("post_id" + "".join(f",t{j}" for j in range(19)) + "\np0," + ",".join(
-                ["0.0682014569126122", "0.07564655861106571", "0.0315119919400467",
-                 "0.06855061971810426", "0.06758043065105768", "0.060577188064013555",
-                 "0.057910392254037116", "0.06624963136436014", "0.03169561950015194",
-                 "0.06143821707158237", "0.024493676102782632", "0.04235759117325434",
-                 "0.0671312347489827", "0.06025330065317231", "0.02562743153657384",
-                 "0.08246311548983595", "0.05666096701870159", "0.050640605656810674",
-                 "0.0010099725328541137"]
-            ) + "\n").encode(),
+            _TOTAL_AT_BOUND,
             b"post_id,t0\np0,1\r \n",  # a lone CR ends a line, so " " is a row
             b'post_id,t0,t1\n"p0",0.5,0.5\n',
         ],
@@ -288,6 +294,29 @@ class TestLoadDistMatrix:
         path.write_bytes(data)
         expected = dist_outcome(pipeline._dist_matrix_rows, path)
         assert dist_outcome(load_dist_matrix, path) == expected
+
+    def test_total_at_bound_loads_its_cells(self, tmp_path):
+        # Accepted by numpy's pairwise total, on every Python: sum() would add
+        # left to right up to 3.11 and reject the row there.
+        path = tmp_path / "m.csv"
+        path.write_bytes(_TOTAL_AT_BOUND)
+        dist = load_dist_matrix(path)
+        assert dist.post_ids == ("p0",)
+        expected = np.array([[float(cell) for cell in _TOTAL_AT_BOUND_CELLS]])
+        assert dist.matrix.tobytes() == expected.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 300), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_row_totals_match_one_row_at_a_time(self, k, n, seed):
+        # The bulk path checks mat.sum(axis=1) and the row loop one 1-D row
+        # at a time; both apply one rule only if the bits agree.
+        rng = np.random.default_rng(seed)
+        mat = rng.random((n, k)) * (rng.random((n, k)) < 0.7)
+        mat[:, 0] += 1e-3
+        mat /= mat.sum(axis=1, keepdims=True)
+        totals = mat.sum(axis=1)
+        for row, total in zip(mat.tolist(), totals):
+            assert np.array(row).sum().tobytes() == total.tobytes()
 
     def test_row_failing_only_the_pairwise_total_names_line(self, tmp_path):
         # Left to right these 31 cells total 1.0000000009999999, inside the

@@ -4,6 +4,7 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from topicmood.corpus import CleanDoc, Post
 from topicmood.sentiment import (
@@ -17,6 +18,8 @@ from topicmood.sentiment import (
     resolve_polarity,
     score_polarity,
 )
+
+from fuzzfiles import assert_loads_or_names_line, lexicon_bytes
 
 LEX = Lexicon(
     entries={"good": 0.7, "bad": -0.7, "great": 0.8},
@@ -128,6 +131,13 @@ class TestLoadLexicon:
         assert "not" in lex.negators
         assert lex.intensifiers["very"] == 1.5
 
+    @settings(deadline=None, max_examples=200)
+    @given(lexicon_bytes())
+    def test_any_file_loads_or_names_line(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz-lexicon.txt"
+        path.write_bytes(data)
+        assert_loads_or_names_line(load_lexicon, path, LexiconError)
+
 
 class TestScorePolarity:
     def test_single_hit_identity(self):
@@ -143,6 +153,11 @@ class TestScorePolarity:
     def test_mean_over_hits(self):
         assert score_polarity(doc("good", "bad"), LEX).value == 0.0
         assert score_polarity(doc("good", "great"), LEX).value == pytest.approx(0.75)
+
+    def test_hits_added_left_to_right(self):
+        # sum() from Python 3.12 on is compensated and gives 0.6 / 3 here.
+        lex = Lexicon({"a": 0.1, "b": 0.2, "c": 0.3})
+        assert score_polarity(doc("a", "b", "c"), lex).value == ((0.1 + 0.2) + 0.3) / 3
 
     def test_double_negation_cancels(self):
         assert score_polarity(doc("not", "never", "good"), LEX, neg_window=2).value == 0.7

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topicmood import topics
@@ -26,6 +26,7 @@ from topicmood.topics import (
     vectorize,
 )
 
+from fuzzfiles import DEEP_NESTING, assert_loads_or_names_line, vectors_jsonl_bytes
 from oracles import ctfidf_reference, dense_tfidf, fixed_order_dots, lloyd_reference
 from synthdata import many_group_records
 
@@ -749,8 +750,13 @@ class TestLoadVectors:
             ('{"id": "b", "vector": [[1, 2]]}', "line 2: 'vector' must hold numbers only"),
             ('{"id": "b", "vector": [true, 1]}', "line 2: 'vector' must hold numbers only"),
             ('{"id": "b", "vector": [1%s, 1]}' % ("0" * 400), "line 2: 'vector' entry too large"),
+            (DEEP_NESTING, r"line 2: invalid JSON \("),
+            ('{"id": "b", "vector": [1%s, 1]}' % ("0" * 4400), r"line 2: invalid JSON \("),
         ],
-        ids=["not-an-object", "string", "nested-list", "boolean", "huge-integer"],
+        ids=[
+            "not-an-object", "string", "nested-list", "boolean", "huge-integer", "deep-nesting",
+            "integer-over-digit-limit",
+        ],
     )
     def test_malformed_line_names_line(self, tmp_path, line, pattern):
         path = tmp_path / "vecs.jsonl"
@@ -783,6 +789,14 @@ class TestLoadVectors:
             warnings.simplefilter("error")
             vecs = load_vectors(path)
         assert vecs.matrix[0].tobytes() == vecs.matrix[1].tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(vectors_jsonl_bytes())
+    @example(DEEP_NESTING.encode()).via("the deep-nesting case")
+    def test_any_file_loads_or_names_line(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz-vectors.jsonl"
+        path.write_bytes(data)
+        assert_loads_or_names_line(load_vectors, path, ValueError)
 
     def test_zero_vector_rejected(self, tmp_path):
         path = tmp_path / "vecs.jsonl"
