@@ -81,6 +81,10 @@ def _coerce_post(record: dict, where: str) -> Post:
     post_id = record.get("id")
     if not isinstance(post_id, str) or not post_id:
         raise CorpusError(f"{where}: field 'id' must be a non-empty string")
+    try:
+        post_id.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, written as a JSON escape
+        raise CorpusError(f"{where}: field 'id' is not valid UTF-8 ({exc.reason})") from None
     text = record.get("text")
     if not isinstance(text, str):
         raise CorpusError(f"{where}: required field 'text' missing or not a string")

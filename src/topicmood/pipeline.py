@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -113,8 +114,9 @@ class RunConfig:
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, Path):
-                value = str(value)
+            if f.name.endswith(("_path", "_dir")) and value is not None:
+                # A path byte that is not UTF-8 shows as a \xNN escape.
+                value = os.fsencode(value).decode("utf-8", "backslashreplace")
             elif isinstance(value, tuple):
                 value = list(value)
             out[f.name] = value
@@ -381,7 +383,8 @@ def emit_report(
     the topic array; the CSV holds one row per topic with fixed columns
     (topic_id, top_terms, prevalence, tfn_a, tfn_m, tfn_b, positivity,
     negativity). Numbers are serialized at 6 decimal places. A non-finite
-    number in a JSON document raises ValueError and nothing is written.
+    number or text that is not UTF-8 in a JSON document raises ValueError
+    and nothing is written.
     """
     path = Path(path)
     if fmt == "json":
@@ -392,7 +395,7 @@ def emit_report(
         }
         # Strict JSON (RFC 8259): a NaN or infinity raises instead of being written.
         text = json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False)
-        path.write_text(text + "\n", "utf-8")
+        path.write_bytes((text + "\n").encode("utf-8"))
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

@@ -1,8 +1,8 @@
 """Lexicon-based polarity scoring.
 
 A small self-contained replacement for heavier sentiment backends: word
-polarities are looked up in a lexicon, flipped by nearby negators, scaled
-by nearby intensifiers, and averaged into a document score in [-1, 1].
+polarities are looked up in a lexicon, negated or scaled by a negator or
+intensifier just before a hit, and averaged into a score in [-1, 1].
 Posts that already carry a polarity value bypass the scorer entirely.
 """
 
@@ -151,43 +151,28 @@ def default_lexicon() -> Lexicon:
         return load_lexicon(path)
 
 
-def score_polarity(doc: CleanDoc, lex: Lexicon, neg_window: int = 1) -> PolarityScore:
-    """Score a document as the mean of its modified lexicon hits.
+def score_polarity(doc: CleanDoc, lex: Lexicon) -> PolarityScore:
+    """Score a document as the mean of its lexicon hits, clamped to [-1, 1].
 
-    A hit is a token present in the lexicon entries. Its polarity is
-    multiplied by -1 for each negator among the preceding ``neg_window``
-    tokens (so double negation cancels) and by the product of intensifier
-    multipliers found in the same window. The document score is the mean
-    over hits, clamped to [-1, 1]; a document without hits scores 0.
+    A hit's polarity is negated when the token just before it is a
+    negator and multiplied by the multiplier when that token is an
+    intensifier. A document without hits scores 0.
     """
-    if neg_window < 0:
-        raise ValueError("neg_window must be >= 0")
-    total, n_hits = 0.0, 0
-    tokens = doc.tokens
-    for i, token in enumerate(tokens):
-        base = lex.entries.get(token)
-        if base is None:
-            continue
-        value = base
-        for prev in tokens[max(0, i - neg_window):i]:
-            if prev in lex.negators:
-                value = -value
-            else:
-                mult = lex.intensifiers.get(prev)
-                if mult is not None:
-                    value *= mult
-        total += value
-        n_hits += 1
+    total, n_hits, prev = 0.0, 0, None
+    for token in doc.tokens:
+        value = lex.entries.get(token)
+        if value is not None:
+            total += -value if prev in lex.negators else value * lex.intensifiers.get(prev, 1.0)
+            n_hits += 1
+        prev = token
     if not n_hits:
         return PolarityScore(doc.post_id, 0.0, COMPUTED)
     mean = total / n_hits
     return PolarityScore(doc.post_id, min(1.0, max(-1.0, mean)), COMPUTED)
 
 
-def resolve_polarity(
-    post: Post, doc: CleanDoc, lex: Lexicon, neg_window: int = 1
-) -> PolarityScore:
+def resolve_polarity(post: Post, doc: CleanDoc, lex: Lexicon) -> PolarityScore:
     """Use the post's supplied polarity when present, else compute one."""
     if post.polarity is not None:
         return PolarityScore(post.id, post.polarity, SUPPLIED)
-    return score_polarity(doc, lex, neg_window)
+    return score_polarity(doc, lex)

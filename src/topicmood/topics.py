@@ -317,7 +317,7 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
 
     labels = np.full(n, -1)
     for _ in range(max_iters):
-        # The first centroid to reach a row's best cosine: ties go to the lowest index.
+        # Lowest index wins ties; sims.argmax(axis=0) agrees but copies all of sims.
         new_labels = (sims == sims.max(axis=0)).argmax(axis=0)
 
         # Re-seed empty clusters with the most isolated document, stealing
@@ -446,6 +446,4 @@ def soft_assign(
 
 def topic_prevalence(dist: TopicDistribution) -> np.ndarray:
     """Per-topic mass: column sums of the distribution matrix."""
-    if dist.matrix.shape[0] == 0:
-        return np.zeros(dist.k)
     return dist.matrix.sum(axis=0)

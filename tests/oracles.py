@@ -22,6 +22,34 @@ def spreadsheet_weighted_stats(values, weights):
     return mean, sigma
 
 
+def one_token_polarity(tokens, entries, negators, intensifiers):
+    """Mean of the lexicon hits, each modified by the one token before it.
+
+    A hit's value is negated when the previous token is a negator and
+    multiplied by its multiplier when that token is an intensifier. The hits
+    are added left to right (``sum`` is compensated from Python 3.12 on), the
+    mean is clamped to [-1, 1], and a document without hits scores 0.
+    """
+    hits = []
+    for i, tok in enumerate(tokens):
+        if tok not in entries:
+            continue
+        value = entries[tok]
+        if i > 0:
+            prev = tokens[i - 1]
+            if prev in negators:
+                value = -value
+            elif prev in intensifiers:
+                value *= intensifiers[prev]
+        hits.append(value)
+    if not hits:
+        return 0.0
+    total = 0.0
+    for value in hits:
+        total += value
+    return min(1.0, max(-1.0, total / len(hits)))
+
+
 GRID_STEP = 1e-4
 GRID = np.arange(-2.0, 2.0 + GRID_STEP / 2, GRID_STEP)
 

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicmood.cli import main
 
@@ -104,6 +106,26 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "[config]" in err and flag[2:] in err
         assert not (out_dir / "report.json").exists()
+
+    def test_id_not_utf8_fails_in_corpus_stage(self, tmp_path, capsys):
+        # A JSON escape writes a lone surrogate; the post cleans to nothing, so
+        # its id would reach the report's empty_doc_ids.
+        records = three_group_records(n_per_group=6)
+        records.append({"id": "\ud800x", "text": "@only #tags https://t.co/x " * 3})
+        corpus = write_jsonl(tmp_path / "posts.jsonl", records)
+        out_dir = tmp_path / "out"
+        assert main(run_args(corpus, out_dir)) == 1
+        err = capsys.readouterr().err
+        assert "[corpus]" in err and "line 19: field 'id' is not valid UTF-8" in err
+        assert not (out_dir / "report.json").exists()
+
+    def test_input_name_not_utf8_is_echoed_escaped(self, corpus_path, tmp_path):
+        odd = tmp_path / os.fsdecode(b"b\xff.jsonl")
+        odd.write_bytes(corpus_path.read_bytes())
+        out_dir = tmp_path / "out"
+        assert main(run_args(odd, out_dir)) == 0
+        data = json.loads((out_dir / "report.json").read_bytes().decode("utf-8"))
+        assert data["config"]["input_path"] == os.path.join(str(tmp_path), "b\\xff.jsonl")
 
     def test_missing_topics_fails_in_config_stage(self, corpus_path, capsys):
         code = main(["run", "--input", str(corpus_path)])
@@ -207,14 +229,15 @@ class TestBlasThreads:
         corpus = write_jsonl(tmp_path / "posts.jsonl", many_group_records(2500, 42))
         out_dir = tmp_path / "out"
         outputs = []
-        for threads in ("1", "2"):
+        # A second hash seed too: no set or dict order of strings may reach the bytes.
+        for threads, hash_seed in (("1", "0"), ("2", "1")):
             proc = subprocess.run(
                 [sys.executable, "-m", "topicmood", "run", "--input", str(corpus),
                  "--topics", "42", "--seed", "3", "--svg", "--out", str(out_dir)],
                 capture_output=True,
                 text=True,
                 encoding="utf-8",
-                env=src_env(OPENBLAS_NUM_THREADS=threads),
+                env=src_env(OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed),
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(
@@ -222,3 +245,56 @@ class TestBlasThreads:
             )
         assert json.loads(outputs[0][0])["metadata"]["contributing"] == 2500
         assert outputs[0] == outputs[1]
+
+
+# A POSIX file name: any bytes but "/" and NUL, and not "." or "..".
+_FILE_NAMES = (
+    st.lists(st.sampled_from([b for b in range(1, 256) if b != ord("/")]), min_size=1, max_size=6)
+    .map(bytes)
+    .filter(lambda b: b.strip(b"."))
+)
+
+
+class TestStrictJsonReport:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        ids=st.lists(st.text(min_size=1, max_size=4), min_size=2, max_size=9, unique=True),
+        # A JSON escape can write a lone surrogate into a post id.
+        surrogate_id=st.sampled_from([None, None, None, "\ud800x", "x\udcff"]),
+        empty=st.lists(st.booleans(), min_size=9, max_size=9),
+        names=st.tuples(_FILE_NAMES, _FILE_NAMES),
+        topics=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+        min_chars=st.integers(1, 80),
+        numbers=st.tuples(st.floats(0.01, 10.0), st.floats(0.05, 2.0), st.floats(0.01, 1.0)),
+        n_terms=st.integers(1, 9),
+        svg=st.booleans(),
+    )
+    def test_every_accepted_config_writes_strict_utf8_json(
+        self, tmp_path_factory, ids, surrogate_id, empty, names, topics, seed, min_chars,
+        numbers, n_terms, svg,
+    ):
+        work = tmp_path_factory.mktemp("strict")
+        if surrogate_id is not None:
+            ids[-1] = surrogate_id
+        texts = [r["text"] for r in three_group_records(n_per_group=3)]
+        records = [
+            {"id": i, "text": "@only #tags https://t.co/x " * 3 if e else text}
+            for i, e, text in zip(ids, empty, texts)
+        ]
+        corpus = write_jsonl(work / os.fsdecode(names[0]), records)
+        out_dir = work / "out" / os.fsdecode(names[1])
+        scale, temperature, ramp = numbers
+        argv = [
+            "run", "--input", str(corpus), "--topics", str(topics), "--seed", str(seed),
+            "--min-chars", str(min_chars), "--scale", repr(scale), "--temperature",
+            repr(temperature), "--ramp", repr(ramp), "--n-terms", str(n_terms),
+            "--out", str(out_dir),
+        ]
+        code = main(argv + ["--svg"] if svg else argv)
+        report = out_dir / "report.json"
+        if code == 0:
+            data = json.loads(report.read_bytes().decode("utf-8"))
+            assert data["metadata"]["documents_in"] == len(records)
+        else:
+            assert not report.exists()

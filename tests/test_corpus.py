@@ -96,6 +96,17 @@ class TestLoadPostsJsonl:
         with pytest.raises(CorpusError, match="line 2.*duplicate"):
             load_posts(path, "jsonl")
 
+    def test_id_not_utf8_names_line(self, tmp_path):
+        # A JSON escape can write a lone surrogate, which no UTF-8 report can hold.
+        path = write_jsonl(
+            tmp_path / "posts.jsonl",
+            [{"id": "a", "text": "x"}, {"id": "\ud800x", "text": "y"}],
+        )
+        with pytest.raises(
+            CorpusError, match=r"posts\.jsonl, line 2: field 'id' is not valid UTF-8"
+        ):
+            load_posts(path, "jsonl")
+
     def test_missing_text(self, tmp_path):
         path = write_jsonl(tmp_path / "posts.jsonl", [{"id": "a"}])
         with pytest.raises(CorpusError, match="text"):

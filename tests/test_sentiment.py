@@ -4,7 +4,8 @@ import gc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from topicmood.corpus import CleanDoc, Post
 from topicmood.sentiment import (
@@ -20,6 +21,7 @@ from topicmood.sentiment import (
 )
 
 from fuzzfiles import assert_loads_or_names_line, lexicon_bytes
+from oracles import one_token_polarity
 
 LEX = Lexicon(
     entries={"good": 0.7, "bad": -0.7, "great": 0.8},
@@ -160,19 +162,39 @@ class TestScorePolarity:
         assert score_polarity(doc("a", "b", "c"), lex).value == ((0.1 + 0.2) + 0.3) / 3
 
     def test_double_negation_cancels(self):
-        assert score_polarity(doc("not", "never", "good"), LEX, neg_window=2).value == 0.7
+        # Only the token just before a hit counts: "never" negates, "not" does not reach.
+        assert score_polarity(doc("not", "never", "good"), LEX).value == -0.7
 
     def test_intensifier_scales(self):
         assert score_polarity(doc("very", "good"), LEX).value == pytest.approx(1.0)  # clamped
         assert score_polarity(doc("barely", "good"), LEX).value == pytest.approx(0.28)
 
     def test_negator_and_intensifier_combine(self):
-        got = score_polarity(doc("not", "very", "good"), LEX, neg_window=2).value
-        assert got == pytest.approx(-1.0)  # -0.7 * 1.5 clamped
+        # "very" is the token before the hit; "not" is one token too far.
+        assert score_polarity(doc("not", "very", "good"), LEX).value == 1.0  # 0.7 * 1.5 clamped
 
     def test_window_limits_negation_reach(self):
-        assert score_polarity(doc("not", "the", "good"), LEX, neg_window=1).value == 0.7
-        assert score_polarity(doc("not", "the", "good"), LEX, neg_window=2).value == -0.7
+        assert score_polarity(doc("not", "the", "good"), LEX).value == 0.7
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        values=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        mults=st.tuples(*[st.floats(0.01, 4.0)] * 2),
+        tokens=st.lists(
+            st.sampled_from(["good", "bad", "meh", "not", "never", "very", "barely", "the"]),
+            max_size=12,
+        ),
+    )
+    @example(values=(0.7, -0.7, 0.1), mults=(1.5, 0.4), tokens=["not", "not", "good"])
+    @example(values=(0.7, -0.7, 0.1), mults=(1.5, 0.4), tokens=["very", "not", "good"])
+    @example(values=(0.7, -0.7, 0.1), mults=(1.5, 0.4), tokens=["not", "very", "good"])
+    def test_matches_one_token_oracle(self, values, mults, tokens):
+        entries = dict(zip(("good", "bad", "meh"), values))
+        negators = frozenset({"not", "never"})
+        intensifiers = dict(zip(("very", "barely"), mults))
+        lex = Lexicon(entries, negators, intensifiers)
+        got = score_polarity(CleanDoc("d", tuple(tokens)), lex).value
+        assert got.hex() == one_token_polarity(tokens, entries, negators, intensifiers).hex()
 
     def test_clamped_to_unit_interval(self):
         wide = Lexicon(entries={"great": 0.9}, intensifiers={"very": 3.0})
@@ -185,8 +207,8 @@ class TestScorePolarity:
 
     def test_determinism(self):
         tokens = ("not", "good", "very", "bad", "great")
-        a = score_polarity(CleanDoc("d", tokens), LEX, neg_window=2)
-        b = score_polarity(CleanDoc("d", tokens), LEX, neg_window=2)
+        a = score_polarity(CleanDoc("d", tokens), LEX)
+        b = score_polarity(CleanDoc("d", tokens), LEX)
         assert a == b
 
     def test_antisymmetry_under_lexicon_negation(self):
@@ -199,7 +221,7 @@ class TestScorePolarity:
             pool = words + ["not", "very", "filler"]
             tokens = tuple(pool[int(i)] for i in rng.integers(0, len(pool), size=10))
             d = CleanDoc("d", tokens)
-            assert score_polarity(d, neg_lex, 2).value == -score_polarity(d, lex, 2).value
+            assert score_polarity(d, neg_lex).value == -score_polarity(d, lex).value
 
     def test_range_on_random_inputs(self):
         rng = np.random.default_rng(42)
@@ -210,7 +232,7 @@ class TestScorePolarity:
             lex = Lexicon(entries, frozenset({"not"}), intens)
             pool = words + ["not", "very"]
             tokens = tuple(pool[int(i)] for i in rng.integers(0, len(pool), size=12))
-            value = score_polarity(CleanDoc("d", tokens), lex, int(rng.integers(0, 4))).value
+            value = score_polarity(CleanDoc("d", tokens), lex).value
             assert -1.0 <= value <= 1.0
 
 
