@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .corpus import utf8_lines
-from .pipeline import RunConfig, StageError, emit_report, emit_tfn_svg, run_pipeline
+from .pipeline import RunConfig, StageError, _stage, emit_report, emit_tfn_svg, run_pipeline
 
 
 def _parse_bool(text: str) -> bool:
@@ -58,6 +58,8 @@ _FLAGS = (
           "comma-separated topic ids to plot (default: all)"),
 )
 _FLAG_NAMES = {flag.name for flag in _FLAGS}
+_OPTIONS = {"-h", "--help", "--config", *(f"--{name}" for name in _FLAG_NAMES)}
+_VALUE_FLAGS = {"--config", *(f"--{f.name}" for f in _FLAGS if f.cast is not _parse_bool)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,28 +121,43 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Join ``--scale -1e-05`` into ``--scale=-1e-05``.
+
+    argparse reads a token that starts with "-" as an option unless it looks
+    like ``-1`` or ``-.5``, so ``-1e-05`` or ``-inf`` after a flag that takes
+    a value would leave that flag without one.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _VALUE_FLAGS and token.startswith("-") and token not in _OPTIONS:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        try:
+        with _stage("config"):
             config = _build_config(args)
-        except (OSError, ValueError) as exc:
-            raise StageError("config", str(exc)) from exc
-
         result = run_pipeline(config)
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report_path = out_dir / f"report.{config.report_format}"
-        emit_report(
-            result.reports, config.report_format, report_path,
-            config=result.config, metadata=result.metadata,
-        )
+        with _stage("report"):
+            out_dir = Path(config.out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            # The SVG goes first: a bad topic selection then leaves no report.
+            if config.emit_svg:
+                svg_path = emit_tfn_svg(
+                    result.reports, out_dir / "tfns.svg", config.svg_topics, config.ramp
+                )
+            report_path = emit_report(
+                result.reports, config.report_format, out_dir / f"report.{config.report_format}",
+                config=result.config, metadata=result.metadata,
+            )
         print(f"wrote {report_path}")
         if config.emit_svg:
-            svg_path = emit_tfn_svg(
-                result.reports, out_dir / "tfns.svg", config.svg_topics, config.ramp
-            )
             print(f"wrote {svg_path}")
 
         for r in result.reports:

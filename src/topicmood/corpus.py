@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 URL_PREFIXES = ("http://", "https://", "www.")
+_DROPPED_PREFIXES = URL_PREFIXES + ("#", "@")  # URLs, hashtags and usernames
 
 # Everything outside Unicode letter categories (digits and underscore are
 # word characters for `re` but not letters).
@@ -232,11 +233,7 @@ def preprocess(post: Post, stopwords: set[str] | frozenset[str]) -> CleanDoc:
     a space, lowercasing, whitespace tokenization, and stopword removal.
     A post may legitimately reduce to zero tokens.
     """
-    kept = [
-        chunk
-        for chunk in post.text.split()
-        if not chunk.startswith(URL_PREFIXES) and not chunk.startswith(("#", "@"))
-    ]
+    kept = [chunk for chunk in post.text.split() if not chunk.startswith(_DROPPED_PREFIXES)]
     text = _NON_LETTER_RE.sub(" ", " ".join(kept)).lower()
     tokens = tuple(tok for tok in text.split() if tok not in stopwords)
     return CleanDoc(post_id=post.id, tokens=tokens)

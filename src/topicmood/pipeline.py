@@ -90,6 +90,8 @@ class RunConfig:
             raise ValueError(f"input format must be jsonl or csv, got {self.input_format!r}")
         if self.report_format not in ("json", "csv"):
             raise ValueError(f"report format must be json or csv, got {self.report_format!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.min_chars < 1:
             raise ValueError("min_chars must be >= 1")
         if self.n_topics is None and self.dist_matrix_path is None:
@@ -277,6 +279,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
     Errors raised by individual modules propagate as :class:`StageError`
     tagged with the stage name (config, corpus, sentiment, topics, fuzzy).
+    The CLI tags failures to read its config file with config, and
+    failures to write the report or the SVG with report.
     """
     with _stage("config"):
         config.validate()

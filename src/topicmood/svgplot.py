@@ -22,6 +22,8 @@ MARGIN_LEFT = 60
 MARGIN_RIGHT = 240
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 60
+_AXIS_STYLE = 'stroke="#000000" stroke-width="1.5"'
+_REFERENCE_STYLE = 'stroke="#999999" stroke-width="1" stroke-dasharray="4 3"'
 
 
 def _escape(text: str) -> str:
@@ -30,6 +32,17 @@ def _escape(text: str) -> str:
         .replace("<", "&lt;")
         .replace(">", "&gt;")
         .replace('"', "&quot;")
+    )
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, style: str) -> str:
+    return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {style}/>'
+
+
+def _label(x: float, y: float, anchor: str, value: float) -> str:
+    return (
+        f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" '
+        f'font-size="11" font-family="sans-serif">{value:g}</text>'
     )
 
 
@@ -74,37 +87,16 @@ def emit_tfn_svg(
         '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
     ]
 
-    # Axes.
-    parts.append(
-        f'<line x1="{px(x_lo):.2f}" y1="{py(0):.2f}" x2="{px(x_hi):.2f}" y2="{py(0):.2f}" '
-        'stroke="#000000" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{px(x_lo):.2f}" y1="{py(0):.2f}" x2="{px(x_lo):.2f}" y2="{py(1):.2f}" '
-        'stroke="#000000" stroke-width="1.5"/>'
-    )
-    for y in (0.5, 1.0):
-        parts.append(
-            f'<text x="{px(x_lo) - 8:.2f}" y="{py(y) + 4:.2f}" text-anchor="end" '
-            f'font-size="11" font-family="sans-serif">{y:g}</text>'
-        )
+    # Axes, with y labels.
+    parts.append(_line(px(x_lo), py(0), px(x_hi), py(0), _AXIS_STYLE))
+    parts.append(_line(px(x_lo), py(0), px(x_lo), py(1), _AXIS_STYLE))
+    parts += [_label(px(x_lo) - 8, py(y) + 4, "end", y) for y in (0.5, 1.0)]
 
-    # Reference lines at -ramp, 0, +ramp.
+    # Reference lines at -ramp, 0, +ramp, then the x ticks (-1 and 1 are always on the axis).
     for x_ref in (-ramp, 0.0, ramp):
-        parts.append(
-            f'<line x1="{px(x_ref):.2f}" y1="{py(0):.2f}" x2="{px(x_ref):.2f}" y2="{py(1):.2f}" '
-            'stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
-        )
-        parts.append(
-            f'<text x="{px(x_ref):.2f}" y="{py(0) + 16:.2f}" text-anchor="middle" '
-            f'font-size="11" font-family="sans-serif">{x_ref:g}</text>'
-        )
-    for x_tick in (-1.0, 1.0):
-        if x_lo <= x_tick <= x_hi:
-            parts.append(
-                f'<text x="{px(x_tick):.2f}" y="{py(0) + 16:.2f}" text-anchor="middle" '
-                f'font-size="11" font-family="sans-serif">{x_tick:g}</text>'
-            )
+        parts.append(_line(px(x_ref), py(0), px(x_ref), py(1), _REFERENCE_STYLE))
+        parts.append(_label(px(x_ref), py(0) + 16, "middle", x_ref))
+    parts += [_label(px(x_tick), py(0) + 16, "middle", x_tick) for x_tick in (-1.0, 1.0)]
 
     # One triangle polyline per topic plus a legend entry.
     legend_x = WIDTH - MARGIN_RIGHT + 20

@@ -1,7 +1,11 @@
 """Command line interface tests."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +111,49 @@ class TestRunCommand:
         assert "[config]" in err and flag[2:] in err
         assert not (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+            ("--scale", "-1e-05", "scale must be finite and > 0, got -1e-05"),
+            ("--ramp", "-inf", "ramp must lie in (0, 1]"),
+            ("--temperature", "-1E3", "temperature must be finite and > 0, got -1000.0"),
+        ],
+        ids=["seed", "scale", "ramp", "temperature"],
+    )
+    def test_negative_setting_fails_in_config_stage(
+        self, corpus_path, tmp_path, capsys, flag, value, message
+    ):
+        # argparse alone would read "-1e-05" or "-inf" as an option, not a value.
+        out_dir = tmp_path / "out"
+        assert main(run_args(corpus_path, out_dir, flag, value)) == 1
+        assert capsys.readouterr().err == f"error: [config] {message}\n"
+        assert not (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (("--svg", "--svg-topics", "9"), "unknown topic id 9"),
+            (("--svg", "--svg-topics", ""), "no topics selected for the SVG"),
+        ],
+        ids=["unknown-topic", "empty-selection"],
+    )
+    def test_bad_svg_selection_fails_in_report_stage(
+        self, corpus_path, tmp_path, capsys, extra, message
+    ):
+        out_dir = tmp_path / "out"
+        assert main(run_args(corpus_path, out_dir, *extra)) == 1
+        assert capsys.readouterr().err == f"error: [report] {message}\n"
+        assert not (out_dir / "report.json").exists()
+
+    def test_out_naming_a_file_fails_in_report_stage(self, corpus_path, tmp_path, capsys):
+        out_file = tmp_path / "taken"
+        out_file.write_text("", encoding="utf-8")
+        assert main(run_args(corpus_path, out_file)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [report] ") and err.count("\n") == 1, err
+        assert "File exists" in err
+
     def test_id_not_utf8_fails_in_corpus_stage(self, tmp_path, capsys):
         # A JSON escape writes a lone surrogate; the post cleans to nothing, so
         # its id would reach the report's empty_doc_ids.
@@ -185,6 +232,17 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert f"[config] {cfg}, line 3: {key} must be {choices}, got 'xml'" in err
+
+    def test_unknown_svg_topic_fails_in_report_stage(self, corpus_path, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"input={corpus_path}\ntopics=3\nout={out_dir}\nsvg=true\nsvg-topics=7\n",
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: [report] unknown topic id 7\n"
+        assert not (out_dir / "report.json").exists()
 
     def test_invalid_utf8_names_line(self, corpus_path, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -298,3 +356,63 @@ class TestStrictJsonReport:
             assert data["metadata"]["documents_in"] == len(records)
         else:
             assert not report.exists()
+
+
+_STAGES = ("config", "corpus", "sentiment", "topics", "fuzzy", "report")
+# A value that --scale, --ramp and --temperature all accept, or one they all refuse.
+_FLOAT_SETTINGS = (
+    st.floats(0.05, 1.0) | st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
+)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def run_to_stage(argv, out_dir):
+    """Run the CLI and return None on success, else the stage of its one error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            raise AssertionError(f"exit {exc.code}: {err.getvalue()}") from None
+    report = out_dir / "report.json"
+    if code == 0:
+        json.loads(report.read_bytes().decode("utf-8"), parse_constant=_refuse_constant)
+        return None
+    assert code == 1 and not report.exists()
+    match = re.fullmatch(r"error: \[(\w+)\] [^\n]*\n", err.getvalue())
+    assert match and match[1] in _STAGES, err.getvalue()
+    return match[1]
+
+
+class TestAnySettingsExitCleanly:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        topics=st.integers(1, 4),
+        seed=st.integers(-(2**32), 2**32),
+        numbers=st.tuples(_FLOAT_SETTINGS, _FLOAT_SETTINGS, _FLOAT_SETTINGS),
+        svg=st.booleans(),
+        svg_topics=st.none() | st.lists(st.integers(-2, 5), max_size=3),
+    )
+    def test_flags_and_config_file_end_alike(
+        self, tmp_path_factory, topics, seed, numbers, svg, svg_topics
+    ):
+        work = tmp_path_factory.mktemp("settings")
+        corpus = write_jsonl(work / "posts.jsonl", three_group_records(n_per_group=3))
+        values = {"input": str(corpus), "topics": str(topics), "seed": str(seed)}
+        for key, number in zip(("scale", "ramp", "temperature"), numbers):
+            values[key] = repr(number)
+        if svg_topics is not None:
+            values["svg-topics"] = ",".join(map(str, svg_topics))
+
+        argv = ["run", "--out", str(work / "flags")]
+        for key, value in values.items():
+            argv += [f"--{key}", value]
+        by_flags = run_to_stage(argv + ["--svg"] if svg else argv, work / "flags")
+
+        cfg = work / "run.cfg"
+        values.update(out=str(work / "file"), svg=str(svg).lower())
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()), encoding="utf-8")
+        assert run_to_stage(["run", "--config", str(cfg)], work / "file") == by_flags

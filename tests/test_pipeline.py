@@ -494,6 +494,7 @@ class TestConfigValidation:
             ("input_format", "xml"),
             ("report_format", "yaml"),
             ("n_topics", 0),
+            ("seed", -1),
         ],
     )
     def test_rejected_values(self, tmp_path, field, value):
