@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
+from itertools import takewhile
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -121,8 +123,16 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
+def _option(token: str) -> str:
+    """The option argparse reads ``token`` as: itself, or the one option it abbreviates."""
+    if token in _OPTIONS or not token.startswith("--"):
+        return token
+    matches = [option for option in _OPTIONS if option.startswith(token)]
+    return matches[0] if len(matches) == 1 else token
+
+
 def _attach_dash_values(argv: list[str]) -> list[str]:
-    """Join ``--scale -1e-05`` into ``--scale=-1e-05``.
+    """Join ``--scale -1e-05`` (or ``--sca -1e-05``) into ``--scale=-1e-05``.
 
     argparse reads a token that starts with "-" as an option unless it looks
     like ``-1`` or ``-.5``, so ``-1e-05`` or ``-inf`` after a flag that takes
@@ -130,8 +140,9 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _VALUE_FLAGS and token.startswith("-") and token not in _OPTIONS:
-            out[-1] += "=" + token
+        flag = _option(out[-1]) if out else ""
+        if flag in _VALUE_FLAGS and token.startswith("-") and _option(token) not in _OPTIONS:
+            out[-1] = f"{flag}={token}"
         else:
             out.append(token)
     return out
@@ -146,16 +157,24 @@ def main(argv: list[str] | None = None) -> int:
         result = run_pipeline(config)
         with _stage("report"):
             out_dir = Path(config.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            # The SVG goes first: a bad topic selection then leaves no report.
-            if config.emit_svg:
-                svg_path = emit_tfn_svg(
-                    result.reports, out_dir / "tfns.svg", config.svg_topics, config.ramp
+            made = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                # The SVG goes first: a bad topic selection then leaves no report.
+                if config.emit_svg:
+                    svg_path = emit_tfn_svg(
+                        result.reports, out_dir / "tfns.svg", config.svg_topics, config.ramp
+                    )
+                report_path = emit_report(
+                    result.reports, config.report_format,
+                    out_dir / f"report.{config.report_format}",
+                    config=result.config, metadata=result.metadata,
                 )
-            report_path = emit_report(
-                result.reports, config.report_format, out_dir / f"report.{config.report_format}",
-                config=result.config, metadata=result.metadata,
-            )
+            except Exception:
+                for made_dir in made:  # this run's directories, leaf first, if left empty
+                    with suppress(OSError):
+                        made_dir.rmdir()
+                raise
         print(f"wrote {report_path}")
         if config.emit_svg:
             print(f"wrote {svg_path}")

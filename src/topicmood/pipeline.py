@@ -22,6 +22,7 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, is_dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -152,27 +153,51 @@ def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
     per topic. Every row must be a probability vector: non-negative, with
     numpy's pairwise total within 1e-9 of 1, the rule TopicDistribution
     applies. A plain file (no quote, one cell per column on every line) is
-    parsed by one ``np.loadtxt`` call and checked as one array. Any doubt
-    sends it to a per-row loop, which alone raises.
+    read once, as a stream: ``np.loadtxt`` parses its lines as they are
+    checked, into the one array the distribution keeps. Any doubt sends it
+    to a per-row loop, which alone raises.
     """
     path = Path(path)
+    ids: list[str] = []
     # Invalid UTF-8, a cell loadtxt refuses, a row TopicDistribution refuses: the row loop decides.
     with suppress(OSError, ValueError), np.errstate(all="ignore"):
         with open(path, encoding="utf-8", newline="") as fh:  # CR, LF and CRLF end a line
-            lines = fh.read().replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        k, rows = lines[0].count(","), [line for line in lines[1:] if line]
-        ids = [line[: line.find(",")].strip() for line in rows]
-        # csv.reader refuses a field over its size limit, and float() refuses the
-        # \x1c-\x1f that loadtxt strips around a cell.
-        if (
-            k > 0 and lines[0].partition(",")[0].strip() == "post_id" and ids and "" not in ids
-            and len(set(ids)) == len(ids) and max(map(len, lines)) <= csv.field_size_limit()
-            and all(line.count(",") == k and not any(map(line.__contains__, '"\0\x1c\x1d\x1e\x1f'))
-                    for line in lines if line)
-        ):
-            mat = np.loadtxt(rows, delimiter=",", comments=None, usecols=range(1, k + 1), ndmin=2)
-            return topics_mod.TopicDistribution(tuple(ids), mat)
+            header = fh.readline()
+            k = header.count(",")
+            rows = _plain_lines(chain([header], fh), k, ids)
+            # The header is checked as a row. A file without data rows never
+            # reaches loadtxt, which would warn.
+            if k > 0 and next(rows) and ids == ["post_id"] and (first := next(rows, None)):
+                mat = np.loadtxt(
+                    chain([first], rows), delimiter=",", comments=None,
+                    usecols=range(1, k + 1), ndmin=2,
+                )
+                post_ids = tuple(ids[1:])
+                if "" not in post_ids and len(set(post_ids)) == len(post_ids):
+                    return topics_mod.TopicDistribution(post_ids, mat)
     return _dist_matrix_rows(path)
+
+
+# csv.reader refuses a field over its size limit, and float() refuses the
+# \x1c-\x1f that loadtxt strips around a cell.
+_DOUBTFUL = '"\0\x1c\x1d\x1e\x1f'
+
+
+def _plain_lines(lines, k: int, ids: list[str]):
+    """The non-blank ``lines`` without their ends; each adds its first cell, stripped, to ``ids``.
+
+    A line with other than ``k`` commas, a character of ``_DOUBTFUL`` or
+    more than ``csv.field_size_limit()`` characters raises ValueError.
+    """
+    limit = csv.field_size_limit()
+    for line in lines:
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        if len(line) > limit or line.count(",") != k or any(map(line.__contains__, _DOUBTFUL)):
+            raise ValueError("not a plain line")
+        ids.append(line[: line.find(",")].strip())
+        yield line
 
 
 def _dist_matrix_rows(path: Path) -> topics_mod.TopicDistribution:
@@ -227,10 +252,12 @@ def _dist_matrix_rows(path: Path) -> topics_mod.TopicDistribution:
 def _keep_live(supplied, source: str, all_ids: set[str], live_docs):
     """Restrict a supplied per-post matrix to the rows of live documents.
 
-    ``supplied`` is a TopicDistribution or a DocMatrix. Returns the
-    restricted copy and the ids of the live documents it does not cover.
-    An id that names no input post is an error, and so is a file that
-    covers no live document.
+    ``supplied`` is a TopicDistribution or a DocMatrix with a dense
+    matrix. The live rows move to the front of that matrix in place, one
+    row at a time and in order, and the result holds a view of them, so no
+    second array is made; ``supplied`` itself is spent. Returns the restricted matrix and
+    the ids of the live documents it does not cover. An id that names no
+    input post is an error, and so is a file that covers no live document.
     """
     ids = supplied.post_ids
     unknown = [i for i in ids if i not in all_ids]
@@ -240,7 +267,10 @@ def _keep_live(supplied, source: str, all_ids: set[str], live_docs):
     keep = [i for i, pid in enumerate(ids) if pid in live_ids]
     if not keep:
         raise ValueError("no documents left for topic modeling")
-    kept = replace(supplied, post_ids=tuple(ids[i] for i in keep), matrix=supplied.matrix[keep])
+    matrix = supplied.matrix
+    for row, i in enumerate(keep):  # keep ascends, so no live row is overwritten before it moves
+        matrix[row] = matrix[i]
+    kept = replace(supplied, post_ids=tuple(ids[i] for i in keep), matrix=matrix[: len(keep)])
     covered = set(kept.post_ids)
     return kept, [d.post_id for d in live_docs if d.post_id not in covered]
 
@@ -262,7 +292,6 @@ def _clustered_topics(config: RunConfig, all_ids: set[str], live_docs):
     if config.vectors_path is None:
         rows, excluded_ids = topics_mod.vectorize(live_docs), []
     else:
-        # No name holds the loaded matrix, so it is freed once its live rows are copied.
         rows, excluded_ids = _keep_live(
             topics_mod.load_vectors(config.vectors_path), "vectors file", all_ids, live_docs
         )

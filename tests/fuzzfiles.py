@@ -110,6 +110,53 @@ def lexicon_bytes(draw):
     return _line_ends(draw, draw(st.lists(st.sampled_from(_LEXICON_LINES), max_size=8)))
 
 
+# Cells that sum to 1 (within 1e-9), a negative row among them.
+_UNIT_CELLS = {
+    1: [["1"], ["1.0"], ["1e0"]],
+    2: [["0.5", "0.5"], ["0.25", "0.75"], ["1", "0"], ["0.1", "0.9"], ["1.5", "-0.5"]],
+    3: [["0.2", "0.3", "0.5"], ["0", "-0", "1"], ["0.1", "0.2", "0.7"], [".5", "0.75", "-.25"]],
+}
+_ODD_MATRIX_CELLS = [
+    "1_0", "\u0663", "nan", "inf", "-inf", "-0.5", "1.5", "", "x", "0x1p-2", "1e-400",
+    '"0.5"', "0.5\x1c", "\x1f1", "0.5\x00", "1" + "0" * 400, "0.5\r0.5",
+]
+_PADS = [""] * 6 + [" ", "\t", "\x0b", "\x0c", "\xa0", "\u2028", "\x85", "\x1c"]
+_ODD_MATRIX_IDS = ["p0", "", " ", "\t"] * 3 + [
+    "#c", "#", "\x0bd", '"a"', 'e"f', "\xe9", "g\x0ch", "\x1dh",
+]
+_MATRIX_HEADERS = ["post_id"] * 15 + [" post_id\t", "wrong", '"post_id"', "", "\ufeffpost_id"]
+
+
+@st.composite
+def dist_matrix_bytes(draw):
+    """Topic-distribution CSV files around the valid shape: odd cells and
+    ids, quotes, padding, ragged and blank lines, mixed line ends, and now
+    and then invalid UTF-8."""
+    k = draw(st.integers(1, 3))
+    lines = [draw(st.sampled_from(_MATRIX_HEADERS)) + "".join(f",t{j}" for j in range(k))]
+    for i in range(draw(st.integers(0, 4))):
+        kinds = ["row"] * 4 + ["odd cell", "odd id", "quoted", "ragged", "blank"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "", " ", "\t"])))
+            continue
+        cells = list(draw(st.sampled_from(_UNIT_CELLS[k])))
+        if kind == "odd cell":
+            cells[draw(st.integers(0, k - 1))] = draw(st.sampled_from(_ODD_MATRIX_CELLS))
+        pad = st.sampled_from(_PADS)
+        cells = [draw(pad) + cell + draw(pad) for cell in cells]
+        if kind == "ragged":
+            cells = (cells + ["0"])[: k + draw(st.sampled_from([-1, 1]))]
+        post_id = (
+            draw(st.sampled_from(_ODD_MATRIX_IDS)) if kind == "odd id" else draw(pad) + f"p{i}"
+        )
+        if kind == "quoted":
+            post_id = f'"{post_id}"'
+            cells = [f'"{cell}"' if draw(st.booleans()) else cell for cell in cells]
+        lines.append(",".join([post_id, *cells]))
+    return _line_ends(draw, lines)
+
+
 def assert_loads_or_names_line(load, path, error):
     """``load(path)`` returns, or raises exactly ``error`` naming the path and a line."""
     try:

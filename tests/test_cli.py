@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from topicmood.cli import main
 
+from fuzzfiles import dist_matrix_bytes, vectors_jsonl_bytes
 from synthdata import many_group_records, three_group_records, write_jsonl, write_table_fixture
 
 
@@ -116,10 +117,11 @@ class TestRunCommand:
         [
             ("--seed", "-1", "seed must be >= 0, got -1"),
             ("--scale", "-1e-05", "scale must be finite and > 0, got -1e-05"),
+            ("--sca", "-1e-05", "scale must be finite and > 0, got -1e-05"),  # argparse's prefix
             ("--ramp", "-inf", "ramp must lie in (0, 1]"),
             ("--temperature", "-1E3", "temperature must be finite and > 0, got -1000.0"),
         ],
-        ids=["seed", "scale", "ramp", "temperature"],
+        ids=["seed", "scale", "scale-prefix", "ramp", "temperature"],
     )
     def test_negative_setting_fails_in_config_stage(
         self, corpus_path, tmp_path, capsys, flag, value, message
@@ -145,6 +147,14 @@ class TestRunCommand:
         assert main(run_args(corpus_path, out_dir, *extra)) == 1
         assert capsys.readouterr().err == f"error: [report] {message}\n"
         assert not (out_dir / "report.json").exists()
+
+    def test_failed_report_stage_removes_only_directories_it_made(self, corpus_path, tmp_path):
+        bad_selection = ("--svg", "--svg-topics", "9")
+        assert main(run_args(corpus_path, tmp_path / "new" / "out", *bad_selection)) == 1
+        assert not (tmp_path / "new").exists()
+        (tmp_path / "old").mkdir()
+        assert main(run_args(corpus_path, tmp_path / "old", *bad_selection)) == 1
+        assert (tmp_path / "old").is_dir()
 
     def test_out_naming_a_file_fails_in_report_stage(self, corpus_path, tmp_path, capsys):
         out_file = tmp_path / "taken"
@@ -370,7 +380,10 @@ def _refuse_constant(name):
 
 
 def run_to_stage(argv, out_dir):
-    """Run the CLI and return None on success, else the stage of its one error line."""
+    """Run the CLI and return None on success, else the stage of its one error line.
+
+    A run that fails leaves no ``out_dir``.
+    """
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
@@ -381,7 +394,7 @@ def run_to_stage(argv, out_dir):
     if code == 0:
         json.loads(report.read_bytes().decode("utf-8"), parse_constant=_refuse_constant)
         return None
-    assert code == 1 and not report.exists()
+    assert code == 1 and not out_dir.exists()
     match = re.fullmatch(r"error: \[(\w+)\] [^\n]*\n", err.getvalue())
     assert match and match[1] in _STAGES, err.getvalue()
     return match[1]
@@ -416,3 +429,42 @@ class TestAnySettingsExitCleanly:
         values.update(out=str(work / "file"), svg=str(svg).lower())
         cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()), encoding="utf-8")
         assert run_to_stage(["run", "--config", str(cfg)], work / "file") == by_flags
+
+
+def supplied_posts(work):
+    """Posts p0-p5 for a supplied file with rows p0-p3: p1 is too short and
+    p3 cleans to nothing, so their rows are dropped; p4 and p5 have no row."""
+    texts = [r["text"] for r in three_group_records(n_per_group=2)]
+    texts[1], texts[3] = "tiny", "@only #tags https://t.co/x " * 3
+    records = [{"id": f"p{i}", "text": text} for i, text in enumerate(texts)]
+    return write_jsonl(work / "posts.jsonl", records)
+
+
+# Well-formed vectors for p0-p3, so that some runs get through the topic stage.
+_PLAIN_VECTORS = st.lists(
+    st.lists(st.floats(-1, 1), min_size=2, max_size=2), min_size=4, max_size=4
+).map(lambda vs: "".join(f'{{"id": "p{i}", "vector": {v}}}\n' for i, v in enumerate(vs)).encode())
+
+
+class TestSuppliedFilesExitCleanly:
+    @settings(deadline=None, max_examples=150)
+    @given(data=dist_matrix_bytes())
+    def test_dist_matrix(self, tmp_path_factory, data):
+        work = tmp_path_factory.mktemp("matrix")
+        (work / "m.csv").write_bytes(data)
+        argv = [
+            "run", "--input", str(supplied_posts(work)), "--dist-matrix", str(work / "m.csv"),
+            "--out", str(work / "out"),
+        ]
+        run_to_stage(argv, work / "out")
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=vectors_jsonl_bytes() | _PLAIN_VECTORS, topics=st.integers(1, 3))
+    def test_vectors(self, tmp_path_factory, data, topics):
+        work = tmp_path_factory.mktemp("vectors")
+        (work / "v.jsonl").write_bytes(data)
+        argv = [
+            "run", "--input", str(supplied_posts(work)), "--vectors", str(work / "v.jsonl"),
+            "--topics", str(topics), "--out", str(work / "out"),
+        ]
+        run_to_stage(argv, work / "out")

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
 import random
+import threading
+import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topicmood import pipeline
+from topicmood import topics as topics_mod
 from topicmood.fuzzy import TFN
 from topicmood.pipeline import (
     RunConfig,
@@ -23,6 +29,7 @@ from topicmood.pipeline import (
 )
 from topicmood.svgplot import MARGIN_LEFT, MARGIN_RIGHT, WIDTH, emit_tfn_svg
 
+from fuzzfiles import dist_matrix_bytes
 from oracles import grid_possibility, spreadsheet_weighted_stats
 from synthdata import (
     TABLE_MATRIX,
@@ -142,56 +149,6 @@ def dist_outcome(load, path):
     except Exception as exc:
         return type(exc), str(exc)
     return dist.post_ids, dist.matrix.shape, dist.matrix.tobytes()
-
-
-# Cells that sum to 1 (within 1e-9), a negative row among them.
-_UNIT_CELLS = {
-    1: [["1"], ["1.0"], ["1e0"]],
-    2: [["0.5", "0.5"], ["0.25", "0.75"], ["1", "0"], ["0.1", "0.9"], ["1.5", "-0.5"]],
-    3: [["0.2", "0.3", "0.5"], ["0", "-0", "1"], ["0.1", "0.2", "0.7"], [".5", "0.75", "-.25"]],
-}
-_ODD_CELLS = [
-    "1_0", "\u0663", "nan", "inf", "-inf", "-0.5", "1.5", "", "x", "0x1p-2", "1e-400",
-    '"0.5"', "0.5\x1c", "\x1f1", "0.5\x00", "1" + "0" * 400, "0.5\r0.5",
-]
-_PADS = [""] * 6 + [" ", "\t", "\x0b", "\x0c", "\xa0", "\u2028", "\x85", "\x1c"]
-_ODD_IDS = ["p0", "", " ", "\t"] * 3 + ["#c", "#", "\x0bd", '"a"', 'e"f', "\xe9", "g\x0ch", "\x1dh"]
-_HEADERS = ["post_id"] * 15 + [" post_id\t", "wrong", '"post_id"', "", "\ufeffpost_id"]
-
-
-@st.composite
-def dist_matrix_bytes(draw):
-    """CSV files around the valid shape: odd cells and ids, quotes, padding,
-    ragged and blank lines, mixed line ends, and now and then invalid UTF-8."""
-    k = draw(st.integers(1, 3))
-    lines = [draw(st.sampled_from(_HEADERS)) + "".join(f",t{j}" for j in range(k))]
-    for i in range(draw(st.integers(0, 4))):
-        kinds = ["row"] * 4 + ["odd cell", "odd id", "quoted", "ragged", "blank"]
-        kind = draw(st.sampled_from(kinds))
-        if kind == "blank":
-            lines.append(draw(st.sampled_from(["", "", " ", "\t"])))
-            continue
-        cells = list(draw(st.sampled_from(_UNIT_CELLS[k])))
-        if kind == "odd cell":
-            cells[draw(st.integers(0, k - 1))] = draw(st.sampled_from(_ODD_CELLS))
-        pad = st.sampled_from(_PADS)
-        cells = [draw(pad) + cell + draw(pad) for cell in cells]
-        if kind == "ragged":
-            cells = (cells + ["0"])[: k + draw(st.sampled_from([-1, 1]))]
-        post_id = draw(st.sampled_from(_ODD_IDS)) if kind == "odd id" else draw(pad) + f"p{i}"
-        if kind == "quoted":
-            post_id = f'"{post_id}"'
-            cells = [f'"{cell}"' if draw(st.booleans()) else cell for cell in cells]
-        lines.append(",".join([post_id, *cells]))
-    ends = st.sampled_from(["\n", "\r\n", "\r"])
-    text = "".join(line + draw(ends) for line in lines)
-    if draw(st.booleans()):
-        text = text.rstrip("\r\n")
-    data = text.encode("utf-8")
-    if draw(st.integers(0, 9)) == 0:
-        at = draw(st.integers(0, len(data)))
-        data = data[:at] + b"\xff" + data[at:]
-    return data
 
 
 # Left to right these 19 cells total 1.000000001, outside the bound; numpy's
@@ -350,6 +307,91 @@ class TestLoadDistMatrix:
         path.write_bytes(data)
         expected = dist_outcome(pipeline._dist_matrix_rows, path)
         assert dist_outcome(load_dist_matrix, path) == expected
+
+    @pytest.mark.parametrize("data", [b"post_id,t0,t1\n", b"post_id,t0\r\n\n\r\n"])
+    def test_header_only_file_warns_nothing(self, tmp_path, data):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = load_dist_matrix(path)
+        assert dist.post_ids == () and dist.matrix.shape == (0, data.count(b","))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_loads_on_bulk_path(self, tmp_path, monkeypatch):
+        # The file is read once: a pipe cannot be read a second time.
+        path = tmp_path / "m.fifo"
+        os.mkfifo(path)
+        text = "post_id,t0,t1\na,0.25,0.75\nb,1,0\n"
+        writer = threading.Thread(target=path.write_text, args=(text, "utf-8"), daemon=True)
+        writer.start()
+        monkeypatch.setattr(pipeline, "_dist_matrix_rows", refuse_row_loop)
+        dist = load_dist_matrix(path)
+        writer.join(timeout=10)
+        assert dist.post_ids == ("a", "b")
+        assert dist.matrix.tolist() == [[0.25, 0.75], [1.0, 0.0]]
+
+    def test_bulk_path_holds_about_one_matrix(self, tmp_path, monkeypatch):
+        # loadtxt grows one 5,000 x 200 array; the text and its line list are never held.
+        path = tmp_path / "m.csv"
+        n, k = 5000, 200
+        lines = ["post_id" + "".join(f",t{j}" for j in range(k))]
+        for i in range(n):
+            lines.append(f"p{i}," + ",".join("1" if j == i % k else "0" for j in range(k)))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        del lines
+        monkeypatch.setattr(pipeline, "_dist_matrix_rows", refuse_row_loop)
+        tracemalloc.start()
+        try:
+            dist = load_dist_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.matrix.shape == (n, k)
+        assert peak <= 1.35 * dist.matrix.nbytes, peak / dist.matrix.nbytes
+
+
+def refuse_row_loop(path):
+    raise AssertionError("a plain file entered the row loop")
+
+
+def dense_rows(n, k):
+    """A DocMatrix of n random rows p0, p1, ... of width k."""
+    matrix = np.random.default_rng(0).random((n, k))
+    return topics_mod.DocMatrix(tuple(f"p{i}" for i in range(n)), (), matrix)
+
+
+class TestKeepLive:
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 30), st.integers(1, 4), st.data())
+    def test_matches_fancy_indexing(self, n, k, data):
+        supplied = dense_rows(n, k)
+        live = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        keep = sorted(live)
+        expected = supplied.matrix[keep]
+        docs = [SimpleNamespace(post_id=f"p{i}") for i in [*live, n]]
+        all_ids = {*supplied.post_ids, f"p{n}"}
+        kept, uncovered = pipeline._keep_live(supplied, "m", all_ids, docs)
+        assert kept.post_ids == tuple(f"p{i}" for i in keep)
+        assert kept.matrix.tobytes() == expected.tobytes()
+        assert uncovered == [f"p{n}"]
+
+    def test_live_rows_stay_in_the_loaded_array(self):
+        n, k = 5000, 200
+        supplied = dense_rows(n, k)
+        expected = supplied.matrix[::2].copy()
+        docs = [SimpleNamespace(post_id=f"p{i}") for i in range(0, n, 2)]
+        all_ids = set(supplied.post_ids)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept, _ = pipeline._keep_live(supplied, "m", all_ids, docs)
+            added = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert added <= 0.2 * supplied.matrix.nbytes, added / supplied.matrix.nbytes
+        assert np.shares_memory(kept.matrix, supplied.matrix)
+        assert kept.matrix.tobytes() == expected.tobytes()
 
 
 @pytest.fixture(scope="module")
