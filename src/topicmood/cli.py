@@ -74,17 +74,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="key=value config file; explicit flags override it")
     for flag in _FLAGS:
         if flag.cast is _parse_bool:
-            run.add_argument(f"--{flag.name}", action="store_true", default=None, help=flag.help)
+            run.add_argument(f"--{flag.name}", action="store_const", const="true", help=flag.help)
         else:
-            run.add_argument(
-                f"--{flag.name}", type=flag.cast, choices=flag.choices, help=flag.help
-            )
+            metavar = "{" + ",".join(flag.choices) + "}" if flag.choices else None
+            run.add_argument(f"--{flag.name}", metavar=metavar, help=flag.help)
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
-    """Each key's line number and value text."""
-    values: dict[str, tuple[int, str]] = {}
+def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
+    """Each key's place (file and line) and value text."""
+    values: dict[str, tuple[str, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(utf8_lines(fh, ValueError), start=1):
             line = raw.strip()
@@ -96,28 +95,25 @@ def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
             key = key.strip()
             if key not in _FLAG_NAMES:
                 raise ValueError(f"{path}, line {lineno}: unknown key {key!r}")
-            values[key] = lineno, value.strip()
+            values[key] = f"{path}, line {lineno}", value.strip()
     return values
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    """Flag values, else config-file values, else the RunConfig defaults."""
-    file_values = _read_config_file(args.config) if args.config else {}
+    """Each setting's flag text, else its config-file text, cast and checked in one place."""
+    texts = _read_config_file(args.config) if args.config else {}
     values = {}
     for flag in _FLAGS:
-        value = getattr(args, flag.name.replace("-", "_"))
-        if value is None and flag.name in file_values:
-            lineno, text = file_values[flag.name]
+        if (text := getattr(args, flag.name.replace("-", "_"))) is not None:
+            texts[flag.name] = f"--{flag.name}", text
+        if flag.name in texts:
+            where, text = texts[flag.name]
             try:
-                value = flag.cast(text)
-                if flag.choices and value not in flag.choices:
-                    raise ValueError(
-                        f"{flag.name} must be {' or '.join(flag.choices)}, got {text!r}"
-                    )
+                values[flag.field] = flag.cast(text)
+                if flag.choices and text not in flag.choices:
+                    raise ValueError(f"{flag.name} must be {' or '.join(flag.choices)}, got {text!r}")
             except ValueError as exc:
-                raise ValueError(f"{args.config}, line {lineno}: {exc}") from None
-        if value is not None:
-            values[flag.field] = value
+                raise ValueError(f"{where}: {exc}") from None
     if "input_path" not in values:
         raise ValueError("an input file is required (--input or config file)")
     return RunConfig(**values)

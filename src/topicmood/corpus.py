@@ -117,12 +117,16 @@ def utf8_lines(fh, error: type[ValueError] = CorpusError):
     Invalid UTF-8 raises ``error``: ``{path}, line N: invalid UTF-8 (byte
     0x.., reason)``. A text-mode file decodes ahead of the line being read,
     so the decoder's position does not give the line; only after the read
-    has failed is the file decoded once more in full to find it.
+    has failed is the file decoded once more in full, through the same
+    handle, to find it; a named pipe cannot go back, and gets no line.
     """
     try:
         yield from fh
     except UnicodeDecodeError:
-        raw = Path(fh.name).read_bytes()
+        raw = b""
+        if fh.seekable():
+            fh.buffer.seek(0)
+            raw = fh.buffer.read()
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError as exc:

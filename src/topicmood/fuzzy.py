@@ -116,8 +116,8 @@ class OpinionConcept:
     def __post_init__(self):
         if self.kind not in (POSITIVE, NEGATIVE):
             raise ValueError(f"kind must be {POSITIVE!r} or {NEGATIVE!r}, got {self.kind!r}")
-        if self.ramp <= 0:
-            raise ValueError("ramp must be positive")
+        if not 0 < self.ramp < math.inf:  # NaN fails too
+            raise ValueError("ramp must be finite and positive")
 
     @classmethod
     def positive(cls, ramp: float = 0.2) -> "OpinionConcept":
@@ -176,8 +176,8 @@ def build_tfn(core: float, sigma: float, scale: float = 1.0) -> TFN:
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:  # NaN fails too
+        raise ValueError("scale must be finite and positive")
     half = scale * sigma
     return TFN(core - half, core, core + half)
 

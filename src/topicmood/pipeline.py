@@ -154,14 +154,15 @@ def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
     numpy's pairwise total within 1e-9 of 1, the rule TopicDistribution
     applies. A plain file (no quote, one cell per column on every line) is
     read once, as a stream: ``np.loadtxt`` parses its lines as they are
-    checked, into the one array the distribution keeps. Any doubt sends it
-    to a per-row loop, which alone raises.
+    checked, into the one array the distribution keeps. Any doubt sends the
+    same handle back to the start, to a per-row loop which alone raises; a
+    doubtful file that cannot seek, such as a named pipe, is an error.
     """
     path = Path(path)
     ids: list[str] = []
-    # Invalid UTF-8, a cell loadtxt refuses, a row TopicDistribution refuses: the row loop decides.
-    with suppress(OSError, ValueError), np.errstate(all="ignore"):
-        with open(path, encoding="utf-8", newline="") as fh:  # CR, LF and CRLF end a line
+    with open(path, encoding="utf-8", newline="") as fh:  # CR, LF and CRLF end a line
+        # Bad UTF-8, a cell loadtxt refuses, a row TopicDistribution refuses: the row loop decides.
+        with suppress(ValueError), np.errstate(all="ignore"):
             header = fh.readline()
             k = header.count(",")
             rows = _plain_lines(chain([header], fh), k, ids)
@@ -175,7 +176,10 @@ def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
                 post_ids = tuple(ids[1:])
                 if "" not in post_ids and len(set(post_ids)) == len(post_ids):
                     return topics_mod.TopicDistribution(post_ids, mat)
-    return _dist_matrix_rows(path)
+        if not fh.seekable():  # a pipe: the lines the bulk pass read are gone
+            raise ValueError(f"{path}: not a plain matrix, and cannot be reread row by row")
+        fh.seek(0)
+        return _dist_matrix_rows(fh)
 
 
 # csv.reader refuses a field over its size limit, and float() refuses the
@@ -200,52 +204,51 @@ def _plain_lines(lines, k: int, ids: list[str]):
         yield line
 
 
-def _dist_matrix_rows(path: Path) -> topics_mod.TopicDistribution:
-    """The per-row reader: names the line of the first fault it meets."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(corpus_mod.utf8_lines(fh, ValueError))
+def _dist_matrix_rows(fh) -> topics_mod.TopicDistribution:
+    """The per-row reader of the open file ``fh``: names the line of the first fault it meets."""
+    path = fh.name
+    reader = csv.reader(corpus_mod.utf8_lines(fh, ValueError))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty distribution matrix") from None
+    if not header or header[0].strip() != "post_id":
+        raise ValueError(f"{path}: first column must be named 'post_id'")
+    k = len(header) - 1
+    if k < 1:
+        raise ValueError(f"{path}: no topic columns")
+
+    ids: list[str] = []
+    rows: list[np.ndarray] = []
+    seen: set[str] = set()
+    for row in reader:
+        lineno = reader.line_num
+        if not row:
+            continue
+        if len(row) != k + 1:
+            raise ValueError(f"{path}, line {lineno}: expected {k + 1} columns, got {len(row)}")
+        post_id = row[0].strip()
+        if not post_id:
+            raise ValueError(f"{path}, line {lineno}: empty post_id")
+        if post_id in seen:
+            raise ValueError(f"{path}, line {lineno}: duplicate post_id {post_id!r}")
+        seen.add(post_id)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty distribution matrix") from None
-        if not header or header[0].strip() != "post_id":
-            raise ValueError(f"{path}: first column must be named 'post_id'")
-        k = len(header) - 1
-        if k < 1:
-            raise ValueError(f"{path}: no topic columns")
-
-        ids: list[str] = []
-        rows: list[np.ndarray] = []
-        seen: set[str] = set()
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != k + 1:
-                raise ValueError(f"{path}, line {lineno}: expected {k + 1} columns, got {len(row)}")
-            post_id = row[0].strip()
-            if not post_id:
-                raise ValueError(f"{path}, line {lineno}: empty post_id")
-            if post_id in seen:
-                raise ValueError(f"{path}, line {lineno}: duplicate post_id {post_id!r}")
-            seen.add(post_id)
-            try:
-                values = np.array([float(cell) for cell in row[1:]])
-            except ValueError:
-                raise ValueError(f"{path}, line {lineno}: non-numeric probability") from None
-            if (values < 0).any():
-                raise ValueError(f"{path}, line {lineno}: negative probability")
-            with np.errstate(over="ignore"):
-                total = float(values.sum())  # TopicDistribution's pairwise total
-            if not math.isfinite(total):  # a NaN or inf cell
-                raise ValueError(f"{path}, line {lineno}: non-finite probability")
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(
-                    f"{path}, line {lineno}: probabilities sum to {total!r}, expected 1"
-                )
-            ids.append(post_id)
-            rows.append(values)
-
+            values = np.array([float(cell) for cell in row[1:]])
+        except ValueError:
+            raise ValueError(f"{path}, line {lineno}: non-numeric probability") from None
+        if (values < 0).any():
+            raise ValueError(f"{path}, line {lineno}: negative probability")
+        with np.errstate(over="ignore"):
+            total = float(values.sum())  # TopicDistribution's pairwise total
+        if not math.isfinite(total):  # a NaN or inf cell
+            raise ValueError(f"{path}, line {lineno}: non-finite probability")
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(
+                f"{path}, line {lineno}: probabilities sum to {total!r}, expected 1"
+            )
+        ids.append(post_id)
+        rows.append(values)
     return topics_mod.TopicDistribution(tuple(ids), np.array(rows).reshape(len(rows), k))
 
 

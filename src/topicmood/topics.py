@@ -232,10 +232,12 @@ def load_vectors(path: str | Path) -> DocMatrix:
     Each line holds ``{"id": ..., "vector": [floats]}``; ids must be
     unique and all vectors of one length. Vectors are L2-normalized on
     load and become the rows of a :class:`DocMatrix` without term names.
+    The rows go into one flat buffer that the matrix views: they are held once.
     """
     path = Path(path)
-    rows: dict[str, np.ndarray] = {}
-    dim: int | None = None
+    ids: dict[str, None] = {}  # in file order
+    flat = bytearray()
+    dim = 0
     for lineno, record in _iter_jsonl(path, ValueError):
         post_id = record.get("id")
         values = record.get("vector")
@@ -243,7 +245,7 @@ def load_vectors(path: str | Path) -> DocMatrix:
             raise ValueError(f"{path}, line {lineno}: expected fields 'id' and non-empty 'vector'")
         if not {*map(type, values)} <= {int, float}:  # a bool, string, list or null
             raise ValueError(f"{path}, line {lineno}: 'vector' must hold numbers only")
-        if post_id in rows:
+        if post_id in ids:
             raise ValueError(f"{path}, line {lineno}: duplicate id {post_id!r}")
         dim = dim or len(values)
         if len(values) != dim:
@@ -260,9 +262,9 @@ def load_vectors(path: str | Path) -> DocMatrix:
             norm = float(np.linalg.norm(arr))
         if norm <= 0.0 or not np.isfinite(norm):
             raise ValueError(f"{path}, line {lineno}: vector for {post_id!r} has no norm")
-        rows[post_id] = arr / norm
-    mat = np.array(list(rows.values())).reshape(len(rows), dim or 0)
-    return DocMatrix(tuple(rows), (), mat)
+        ids[post_id] = None
+        flat += (arr / norm).tobytes()
+    return DocMatrix(tuple(ids), (), np.frombuffer(flat).reshape(len(ids), dim))
 
 
 def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicModel:

@@ -3,7 +3,11 @@ boundary rule every loader keeps: a file loads, or raises the loader's own
 error with a ``{path}, line N: ...`` message."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -164,3 +168,35 @@ def assert_loads_or_names_line(load, path, error):
     except error as exc:
         assert type(exc) is error, repr(exc)
         assert re.match(rf"{re.escape(str(path))}, line \d+: ", str(exc)), str(exc)
+
+
+_PIPE_READER = """
+import importlib, sys, threading
+from pathlib import Path
+module, function, fifo, data = sys.argv[1:]
+feed = Path(data).read_bytes()
+threading.Thread(target=Path(fifo).write_bytes, args=(feed,), daemon=True).start()
+try:
+    getattr(importlib.import_module(module), function)(fifo)
+except ValueError as exc:
+    print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+def load_from_pipe(load, data, work):
+    """What ``load`` (``"module:function"``) raises on a named pipe fed ``data``.
+
+    The load runs in a child interpreter with a timeout, so a reader that
+    waits on the pipe forever fails the test instead of stopping the suite.
+    """
+    fifo, feed = work / "pipe", work / "feed"
+    os.mkfifo(fifo)
+    feed.write_bytes(data)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PIPE_READER, *load.split(":"), str(fifo), str(feed)],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.rstrip("\n").replace(str(fifo), "PIPE")

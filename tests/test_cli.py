@@ -254,6 +254,50 @@ class TestConfigFile:
         assert capsys.readouterr().err == "error: [report] unknown topic id 7\n"
         assert not (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "key,text,reason",
+        [
+            ("topics", "x", "invalid literal for int() with base 10: 'x'"),
+            ("seed", "1.5", "invalid literal for int() with base 10: '1.5'"),
+            ("min-chars", "", "invalid literal for int() with base 10: ''"),
+            ("scale", "1,5", "could not convert string to float: '1,5'"),
+            ("format", "xml", "format must be jsonl or csv, got 'xml'"),
+            ("report", "JSON", "report must be json or csv, got 'JSON'"),
+            ("svg-topics", "a,b", "not a comma-separated topic id list: 'a,b'"),
+        ],
+        ids=["topics", "seed", "min-chars", "scale", "format", "report", "svg-topics"],
+    )
+    def test_malformed_value_fails_alike_as_flag_and_key(
+        self, corpus_path, tmp_path, capsys, key, text, reason
+    ):
+        values = {"input": str(corpus_path), "topics": "3", "svg": "true", key: text}
+        argv = ["run", "--out", str(tmp_path / "flags")]
+        for name, value in values.items():
+            argv += ["--svg"] if name == "svg" else [f"--{name}", value]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: [config] --{key}: {reason}\n"
+        assert not (tmp_path / "flags").exists()
+
+        cfg = tmp_path / "run.cfg"
+        values["out"] = str(tmp_path / "file")
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()), encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 1
+        lineno = list(values).index(key) + 1
+        assert capsys.readouterr().err == f"error: [config] {cfg}, line {lineno}: {reason}\n"
+        assert not (tmp_path / "file").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [("--topics",), ("--topic-count", "3"), ("--svg=yes",)],
+        ids=["missing-value", "unknown-flag", "switch-with-value"],
+    )
+    def test_command_line_syntax_errors_exit_2(self, corpus_path, tmp_path, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", str(corpus_path), "--out", str(tmp_path / "out"), *extra])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: topicmood")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_utf8_names_line(self, corpus_path, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(f"input={corpus_path}\n".encode() + b"seed=caf\xff\n")
@@ -375,6 +419,10 @@ _FLOAT_SETTINGS = (
 )
 
 
+# Text that no integer setting parses ("3," and "" are --svg-topics lists).
+_MALFORMED = st.sampled_from(["x", "1.5", "", "3,", " 2 x"])
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
@@ -403,22 +451,24 @@ def run_to_stage(argv, out_dir):
 class TestAnySettingsExitCleanly:
     @settings(deadline=None, max_examples=80)
     @given(
-        topics=st.integers(1, 4),
-        seed=st.integers(-(2**32), 2**32),
+        topics=st.integers(1, 4).map(str) | _MALFORMED,
+        seed=st.integers(-(2**32), 2**32).map(str) | _MALFORMED,
         numbers=st.tuples(_FLOAT_SETTINGS, _FLOAT_SETTINGS, _FLOAT_SETTINGS),
         svg=st.booleans(),
-        svg_topics=st.none() | st.lists(st.integers(-2, 5), max_size=3),
+        svg_topics=st.none()
+        | st.lists(st.integers(-2, 5), max_size=3).map(lambda ids: ",".join(map(str, ids)))
+        | _MALFORMED,
     )
     def test_flags_and_config_file_end_alike(
         self, tmp_path_factory, topics, seed, numbers, svg, svg_topics
     ):
         work = tmp_path_factory.mktemp("settings")
         corpus = write_jsonl(work / "posts.jsonl", three_group_records(n_per_group=3))
-        values = {"input": str(corpus), "topics": str(topics), "seed": str(seed)}
+        values = {"input": str(corpus), "topics": topics, "seed": seed}
         for key, number in zip(("scale", "ramp", "temperature"), numbers):
             values[key] = repr(number)
         if svg_topics is not None:
-            values["svg-topics"] = ",".join(map(str, svg_topics))
+            values["svg-topics"] = svg_topics
 
         argv = ["run", "--out", str(work / "flags")]
         for key, value in values.items():

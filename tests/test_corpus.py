@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from importlib import resources
 
 import numpy as np
@@ -24,6 +25,7 @@ from fuzzfiles import (
     LONG_INTEGER,
     OVER_CSV_LIMIT,
     assert_loads_or_names_line,
+    load_from_pipe,
     posts_csv_bytes,
     posts_jsonl_bytes,
 )
@@ -165,6 +167,13 @@ class TestLoadPostsJsonl:
         path.write_bytes(b'{"id": "a", "text": "x"}\n{"id": "b", "text": "caf\xff"}\n')
         with pytest.raises(CorpusError, match=r"posts\.jsonl, line 2: invalid UTF-8"):
             load_posts(path, "jsonl")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_invalid_utf8_on_a_pipe_fails_without_line(self, tmp_path):
+        # A pipe cannot be read again to find the line of the bad byte.
+        data = b'{"id": "a", "text": "caf\xff"}\n'
+        message = load_from_pipe("topicmood.corpus:load_posts", data, tmp_path)
+        assert message == "CorpusError: PIPE: invalid UTF-8"
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "posts.jsonl"

@@ -1,5 +1,7 @@
 """Tests for weighted statistics, TFN construction and the possibility measure."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,14 @@ class TestBuildTfn:
         with pytest.raises(ValueError):
             build_tfn(0.0, 0.1, 0.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        # An infinite scale would make a TFN of infinite support and NaN conformity.
+        with pytest.raises(ValueError, match="scale must be finite and positive"):
+            build_tfn(0.0, 0.1, scale)
+        with pytest.raises(ValueError, match="scale must be finite and positive"):
+            aggregate_topic([0.5, -0.5, 0.1], [1, 1, 1], scale=scale)
+
     def test_tfn_ordering_enforced(self):
         with pytest.raises(ValueError):
             TFN(1.0, 0.5, 2.0)
@@ -197,6 +207,14 @@ class TestOpinionConcept:
             OpinionConcept("meh", 0.2)
         with pytest.raises(ValueError):
             OpinionConcept.positive(0.0)
+
+    @pytest.mark.parametrize("ramp", [math.nan, math.inf])
+    def test_non_finite_ramp_rejected(self, ramp):
+        # A NaN ramp fails no "<= 0" test; an infinite one would make every conformity 0.
+        with pytest.raises(ValueError, match="ramp must be finite and positive"):
+            OpinionConcept.negative(ramp)
+        with pytest.raises(ValueError, match="ramp must be finite and positive"):
+            aggregate_topic([0.5, -0.5, 0.1], [1, 1, 1], ramp=ramp)
 
 
 class TestPossibility:

@@ -29,7 +29,7 @@ from topicmood.pipeline import (
 )
 from topicmood.svgplot import MARGIN_LEFT, MARGIN_RIGHT, WIDTH, emit_tfn_svg
 
-from fuzzfiles import dist_matrix_bytes
+from fuzzfiles import dist_matrix_bytes, load_from_pipe
 from oracles import grid_possibility, spreadsheet_weighted_stats
 from synthdata import (
     TABLE_MATRIX,
@@ -216,7 +216,7 @@ class TestLoadDistMatrix:
                     cells[j] = repr(rng.random() + 0.05)
                 total = sum(map(float, cells))
                 writer.writerow([f"p{i:06d}", *(repr(float(c) / total) for c in cells)])
-        expected = dist_outcome(pipeline._dist_matrix_rows, path)
+        expected = dist_outcome(read_rows, path)
 
         def row_loop(path):
             raise AssertionError("a valid file entered the row loop")
@@ -249,7 +249,7 @@ class TestLoadDistMatrix:
     def test_doubtful_files_agree_with_row_loop(self, tmp_path, data):
         path = tmp_path / "m.csv"
         path.write_bytes(data)
-        expected = dist_outcome(pipeline._dist_matrix_rows, path)
+        expected = dist_outcome(read_rows, path)
         assert dist_outcome(load_dist_matrix, path) == expected
 
     def test_total_at_bound_loads_its_cells(self, tmp_path):
@@ -296,7 +296,7 @@ class TestLoadDistMatrix:
         header = "post_id" + "".join(f",t{j}" for j in range(31))
         path.write_text(f"{header}\np0,{','.join(cells)}\n", encoding="utf-8")
         pattern = r"m\.csv, line 2: probabilities sum to 1\.000000001, expected 1"
-        for load in (load_dist_matrix, pipeline._dist_matrix_rows):
+        for load in (load_dist_matrix, read_rows):
             with pytest.raises(ValueError, match=pattern):
                 load(path)
 
@@ -305,7 +305,7 @@ class TestLoadDistMatrix:
     def test_bulk_path_agrees_with_row_loop(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "fuzz-dist.csv"
         path.write_bytes(data)
-        expected = dist_outcome(pipeline._dist_matrix_rows, path)
+        expected = dist_outcome(read_rows, path)
         assert dist_outcome(load_dist_matrix, path) == expected
 
     @pytest.mark.parametrize("data", [b"post_id,t0,t1\n", b"post_id,t0\r\n\n\r\n"])
@@ -331,6 +331,16 @@ class TestLoadDistMatrix:
         assert dist.post_ids == ("a", "b")
         assert dist.matrix.tolist() == [[0.25, 0.75], [1.0, 0.0]]
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize(
+        "data", [b'post_id,t0,t1\n"a",0.5,0.5\n', b"post_id,t0\ncaf\xff,1\n"],
+        ids=["quoted-id", "invalid-utf8"],
+    )
+    def test_doubtful_pipe_fails_instead_of_waiting(self, tmp_path, data):
+        # The bulk pass has consumed the pipe, so the row loop cannot start over.
+        message = load_from_pipe("topicmood.pipeline:load_dist_matrix", data, tmp_path)
+        assert message == "ValueError: PIPE: not a plain matrix, and cannot be reread row by row"
+
     def test_bulk_path_holds_about_one_matrix(self, tmp_path, monkeypatch):
         # loadtxt grows one 5,000 x 200 array; the text and its line list are never held.
         path = tmp_path / "m.csv"
@@ -349,6 +359,12 @@ class TestLoadDistMatrix:
             tracemalloc.stop()
         assert dist.matrix.shape == (n, k)
         assert peak <= 1.35 * dist.matrix.nbytes, peak / dist.matrix.nbytes
+
+
+def read_rows(path):
+    """The per-row reader alone, on a file of its own."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return pipeline._dist_matrix_rows(fh)
 
 
 def refuse_row_loop(path):

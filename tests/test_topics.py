@@ -798,6 +798,22 @@ class TestLoadVectors:
         path.write_bytes(data)
         assert_loads_or_names_line(load_vectors, path, ValueError)
 
+    def test_holds_about_one_matrix(self, tmp_path):
+        # The rows go into one flat buffer that the matrix views: no second copy.
+        n, d = 2000, 384
+        path = tmp_path / "vecs.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i, row in enumerate(np.random.default_rng(0).standard_normal((n, d))):
+                fh.write(json.dumps({"id": f"p{i}", "vector": row.tolist()}) + "\n")
+        tracemalloc.start()
+        try:
+            vecs = load_vectors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vecs.matrix.shape == (n, d) and vecs.matrix.flags.writeable
+        assert peak <= 1.35 * vecs.matrix.nbytes, peak / vecs.matrix.nbytes
+
     def test_zero_vector_rejected(self, tmp_path):
         path = tmp_path / "vecs.jsonl"
         path.write_text(json.dumps({"id": "a", "vector": [0.0, 0.0]}) + "\n", encoding="utf-8")
