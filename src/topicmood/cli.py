@@ -5,63 +5,16 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import suppress
+from dataclasses import MISSING, fields
 from itertools import takewhile
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from .corpus import utf8_lines
 from .pipeline import RunConfig, StageError, _stage, emit_report, emit_tfn_svg, run_pipeline
 
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _parse_topic_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ValueError(f"not a comma-separated topic id list: {text!r}") from None
-
-
-class _Flag(NamedTuple):
-    """One ``run`` option: a command-line flag and the same key in a config file."""
-
-    name: str
-    field: str  # RunConfig attribute it sets
-    cast: Callable[[str], object]  # parses its text; _parse_bool marks a switch
-    help: str
-    choices: tuple[str, ...] | None = None
-
-
-_FLAGS = (
-    _Flag("input", "input_path", str, "posts file (jsonl or csv)"),
-    _Flag("format", "input_format", str, "input format (default jsonl)", ("jsonl", "csv")),
-    _Flag("topics", "n_topics", int, "number of topics K"),
-    _Flag("seed", "seed", int, "random seed (default 0)"),
-    _Flag("min-chars", "min_chars", int, "minimum raw text length (default 60)"),
-    _Flag("scale", "scale", float, "TFN support scaling constant (default 1.0)"),
-    _Flag("ramp", "ramp", float, "opinion concept ramp endpoint (default 0.2)"),
-    _Flag("temperature", "temperature", float, "soft assignment temperature (default 0.25)"),
-    _Flag("n-terms", "n_terms", int, "top terms per topic (default 7)"),
-    _Flag("stopwords", "stopwords_path", str, "stopword file (default: bundled English list)"),
-    _Flag("lexicon", "lexicon_path", str, "lexicon file (default: bundled miniature lexicon)"),
-    _Flag("vectors", "vectors_path", str, "pre-computed document vectors (jsonl)"),
-    _Flag("dist-matrix", "dist_matrix_path", str, "supplied topic distribution CSV (fixture mode)"),
-    _Flag("out", "out_dir", str, "output directory (default ./out)"),
-    _Flag("report", "report_format", str, "report format (default json)", ("json", "csv")),
-    _Flag("svg", "emit_svg", _parse_bool, "also emit a TFN plot"),
-    _Flag("svg-topics", "svg_topics", _parse_topic_list,
-          "comma-separated topic ids to plot (default: all)"),
-)
-_FLAG_NAMES = {flag.name for flag in _FLAGS}
-_OPTIONS = {"-h", "--help", "--config", *(f"--{name}" for name in _FLAG_NAMES)}
-_VALUE_FLAGS = {"--config", *(f"--{f.name}" for f in _FLAGS if f.cast is not _parse_bool)}
+_SETTINGS = {f.metadata["flag"]: f for f in fields(RunConfig)}  # config-file key -> field
+_OPTIONS = {"-h", "--help", "--config", *(f"--{flag}" for flag in _SETTINGS)}
+_VALUE_FLAGS = {"--config", *(f"--{k}" for k, f in _SETTINGS.items() if f.default is not False)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,18 +25,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute the full pipeline on a corpus file")
     run.add_argument("--config", help="key=value config file; explicit flags override it")
-    for flag in _FLAGS:
-        if flag.cast is _parse_bool:
-            run.add_argument(f"--{flag.name}", action="store_const", const="true", help=flag.help)
+    for flag, f in _SETTINGS.items():
+        text = f.metadata["help"]
+        if f.default not in (None, MISSING):
+            text += f" (default {f.default})"
+        if f.default is False:
+            run.add_argument(f"--{flag}", action="store_const", const="true", help=text)
         else:
-            metavar = "{" + ",".join(flag.choices) + "}" if flag.choices else None
-            run.add_argument(f"--{flag.name}", metavar=metavar, help=flag.help)
+            metavar = "{" + ",".join(f.metadata["choices"]) + "}" if f.metadata["choices"] else None
+            run.add_argument(f"--{flag}", metavar=metavar, help=text)
     return parser
 
 
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
     """Each key's place (file and line) and value text."""
-    values: dict[str, tuple[str, str]] = {}
+    lines: dict[str, tuple[int, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(utf8_lines(fh, ValueError), start=1):
             line = raw.strip()
@@ -93,25 +49,29 @@ def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
                 raise ValueError(f"{path}, line {lineno}: expected key=value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _FLAG_NAMES:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}, line {lineno}: unknown key {key!r}")
-            values[key] = f"{path}, line {lineno}", value.strip()
-    return values
+            if key in lines:
+                raise ValueError(
+                    f"{path}, line {lineno}: duplicate key {key!r} (first on line {lines[key][0]})"
+                )
+            lines[key] = lineno, value.strip()
+    return {key: (f"{path}, line {lineno}", text) for key, (lineno, text) in lines.items()}
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     """Each setting's flag text, else its config-file text, cast and checked in one place."""
     texts = _read_config_file(args.config) if args.config else {}
     values = {}
-    for flag in _FLAGS:
-        if (text := getattr(args, flag.name.replace("-", "_"))) is not None:
-            texts[flag.name] = f"--{flag.name}", text
-        if flag.name in texts:
-            where, text = texts[flag.name]
+    for flag, f in _SETTINGS.items():
+        if (text := getattr(args, flag.replace("-", "_"))) is not None:
+            texts[flag] = f"--{flag}", text
+        if flag in texts:
+            where, text = texts[flag]
             try:
-                values[flag.field] = flag.cast(text)
-                if flag.choices and text not in flag.choices:
-                    raise ValueError(f"{flag.name} must be {' or '.join(flag.choices)}, got {text!r}")
+                values[f.name] = f.metadata["cast"](text)
+                if f.metadata["check"]:
+                    f.metadata["check"](values[f.name])
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
     if "input_path" not in values:

@@ -21,7 +21,7 @@ import json
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -64,48 +64,88 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_topic_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise ValueError(f"not a comma-separated topic id list: {text!r}") from None
+
+
+def _require(ok, message: str):
+    """A check that raises ValueError(message.format(value)) unless ``ok(value)``."""
+    def check(value) -> None:
+        if not ok(value):
+            raise ValueError(message.format(value))
+    return check
+
+
+def _at_least(low: int, name: str):
+    return _require(lambda value: value >= low, f"{name} must be >= {low}, got {{}}")
+
+
+def _setting(flag, help, cast=str, default=None, check=None, choices=None):
+    """A RunConfig field, declared once: the ``run`` flag ``--flag`` and config-file key ``flag``.
+
+    ``cast`` reads the text of either; a setting that defaults to False is a switch, a flag
+    without a value. ``check`` raises ValueError for a value out of range or outside ``choices``.
+    """
+    if choices:
+        check = _require(choices.__contains__, f"{flag} must be {' or '.join(choices)}, got {{!r}}")
+    metadata = {"flag": flag, "help": help, "cast": cast, "choices": choices, "check": check}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
-    """Everything a reproducible run depends on besides the input files."""
+    """Everything a reproducible run depends on besides the input files; see :func:`_setting`."""
 
-    input_path: str | Path
-    input_format: str = "jsonl"
-    n_topics: int | None = None  # may be omitted in fixture mode
-    seed: int = 0
-    min_chars: int = 60
-    temperature: float = 0.25
-    scale: float = 1.0
-    ramp: float = 0.2
-    n_terms: int = 7
-    stopwords_path: str | Path | None = None
-    lexicon_path: str | Path | None = None
-    vectors_path: str | Path | None = None
-    dist_matrix_path: str | Path | None = None
-    out_dir: str | Path = "out"
-    report_format: str = "json"
-    emit_svg: bool = False
-    svg_topics: tuple[int, ...] | None = None
+    input_path: str | Path = _setting("input", "posts file (jsonl or csv)", default=MISSING)
+    input_format: str = _setting("format", "input format", str, "jsonl", choices=("jsonl", "csv"))
+    n_topics: int | None = _setting(  # may be omitted in fixture mode
+        "topics", "number of topics K", int, None, _at_least(1, "topic count")
+    )
+    seed: int = _setting("seed", "random seed", int, 0, _at_least(0, "seed"))
+    min_chars: int = _setting(
+        "min-chars", "minimum raw text length", int, 60, _at_least(1, "min_chars")
+    )
+    temperature: float = _setting(
+        "temperature", "soft assignment temperature", float, 0.25, topics_mod.check_temperature
+    )
+    scale: float = _setting(
+        "scale", "TFN support scaling constant", float, 1.0,
+        _require(lambda x: 0 < x < math.inf, "scale must be finite and > 0, got {}"),
+    )
+    ramp: float = _setting(
+        "ramp", "opinion concept ramp endpoint", float, 0.2,
+        _require(lambda r: 0 < r <= 1, "ramp must lie in (0, 1]"),
+    )
+    n_terms: int = _setting("n-terms", "top terms per topic", int, 7, _at_least(1, "n_terms"))
+    stopwords_path: str | Path | None = _setting("stopwords", "stopword file, else a bundled list")
+    lexicon_path: str | Path | None = _setting("lexicon", "lexicon file, else a bundled one")
+    vectors_path: str | Path | None = _setting("vectors", "pre-computed document vectors (jsonl)")
+    dist_matrix_path: str | Path | None = _setting("dist-matrix", "fixture-mode topic matrix (csv)")
+    out_dir: str | Path = _setting("out", "output directory", default="out")
+    report_format: str = _setting("report", "report format", str, "json", choices=("json", "csv"))
+    emit_svg: bool = _setting("svg", "also emit a TFN plot", _parse_bool, False)
+    svg_topics: tuple[int, ...] | None = _setting(
+        "svg-topics", "comma-separated topic ids to plot, else all", _parse_topic_list
+    )
 
     def validate(self) -> None:
-        if self.input_format not in ("jsonl", "csv"):
-            raise ValueError(f"input format must be jsonl or csv, got {self.input_format!r}")
-        if self.report_format not in ("json", "csv"):
-            raise ValueError(f"report format must be json or csv, got {self.report_format!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.min_chars < 1:
-            raise ValueError("min_chars must be >= 1")
+        for f in fields(self):
+            if f.metadata["check"] and (value := getattr(self, f.name)) is not None:
+                f.metadata["check"](value)
         if self.n_topics is None and self.dist_matrix_path is None:
             raise ValueError("a topic count is required unless a distribution matrix is supplied")
-        if self.n_topics is not None and self.n_topics < 1:
-            raise ValueError("topic count must be >= 1")
-        topics_mod.check_temperature(self.temperature)
-        if not 0 < self.scale < math.inf:
-            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
-        if not 0 < self.ramp <= 1:
-            raise ValueError("ramp must lie in (0, 1]")
-        if self.n_terms < 1:
-            raise ValueError("n_terms must be >= 1")
         if self.vectors_path is not None and self.dist_matrix_path is not None:
             raise ValueError(
                 "a supplied distribution matrix bypasses clustering; "

@@ -8,13 +8,15 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topicmood.cli import main
+from topicmood.cli import _build_config, build_parser, main
+from topicmood.pipeline import RunConfig, _parse_bool, _parse_topic_list
 
 from fuzzfiles import dist_matrix_bytes, vectors_jsonl_bytes
 from synthdata import many_group_records, three_group_records, write_jsonl, write_table_fixture
@@ -115,11 +117,15 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "flag,value,message",
         [
-            ("--seed", "-1", "seed must be >= 0, got -1"),
-            ("--scale", "-1e-05", "scale must be finite and > 0, got -1e-05"),
-            ("--sca", "-1e-05", "scale must be finite and > 0, got -1e-05"),  # argparse's prefix
-            ("--ramp", "-inf", "ramp must lie in (0, 1]"),
-            ("--temperature", "-1E3", "temperature must be finite and > 0, got -1000.0"),
+            ("--seed", "-1", "--seed: seed must be >= 0, got -1"),
+            ("--scale", "-1e-05", "--scale: scale must be finite and > 0, got -1e-05"),
+            # argparse's prefix; the message names the flag it stands for.
+            ("--sca", "-1e-05", "--scale: scale must be finite and > 0, got -1e-05"),
+            ("--ramp", "-inf", "--ramp: ramp must lie in (0, 1]"),
+            (
+                "--temperature", "-1E3",
+                "--temperature: temperature must be finite and > 0, got -1000.0",
+            ),
         ],
         ids=["seed", "scale", "scale-prefix", "ramp", "temperature"],
     )
@@ -243,6 +249,24 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"[config] {cfg}, line 3: {key} must be {choices}, got 'xml'" in err
 
+    def test_out_of_range_value_names_line(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input={corpus_path}\ntopics=3\nseed=-1\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [config] {cfg}, line 3: seed must be >= 0, got -1\n"
+
+    def test_repeated_key_names_both_lines(self, corpus_path, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"input={corpus_path}\ntopics=3\ntopics=9\nout={out_dir}\n", encoding="utf-8"
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [config] {cfg}, line 3: duplicate key 'topics' (first on line 2)\n"
+        assert not out_dir.exists()
+
     def test_unknown_svg_topic_fails_in_report_stage(self, corpus_path, tmp_path, capsys):
         out_dir = tmp_path / "out"
         cfg = tmp_path / "run.cfg"
@@ -303,6 +327,47 @@ class TestConfigFile:
         cfg.write_bytes(f"input={corpus_path}\n".encode() + b"seed=caf\xff\n")
         assert main(["run", "--config", str(cfg)]) == 1
         assert f"[config] {cfg}, line 2: invalid UTF-8 (byte 0xff" in capsys.readouterr().err
+
+
+# Text for a setting, by its cast, and the value it reads as; no field has it as its default.
+_OTHER_VALUES = {
+    int: ("3", 3),
+    float: ("0.5", 0.5),
+    str: ("elsewhere", "elsewhere"),
+    _parse_bool: ("true", True),
+    _parse_topic_list: ("0,2", (0, 2)),
+}
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+    def test_each_field_is_one_flag_and_one_key(self, tmp_path, capsys, field):
+        flag = field.metadata["flag"]
+        assert [f.name for f in fields(RunConfig) if f.metadata["flag"] == flag] == [field.name]
+        text, value = _OTHER_VALUES[field.metadata["cast"]]
+        if field.metadata["choices"]:
+            text = value = next(c for c in field.metadata["choices"] if c != field.default)
+        assert value != field.default
+        expected = replace(RunConfig(input_path="posts.jsonl"), **{field.name: value})
+
+        values = {"input": "posts.jsonl", flag: text}
+        argv = ["run", *(f"--{key}={key_text}" for key, key_text in values.items())]
+        if field.default is False:  # a switch takes no value
+            argv[-1] = f"--{flag}"
+        assert _build_config(build_parser().parse_args(argv)) == expected
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()), encoding="utf-8")
+        assert _build_config(build_parser().parse_args(["run", "--config", str(cfg)])) == expected
+
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        options = " ".join(capsys.readouterr().out.partition("options:")[2].split())
+        entry = re.search(rf"--{flag} (.*?)(?= --[a-z]|$)", options)
+        if field.default not in (None, MISSING):
+            assert entry[1].endswith(f" (default {field.default})")
+        else:
+            assert "(default" not in entry[1]
 
 
 def src_env(**extra):
@@ -428,7 +493,7 @@ def _refuse_constant(name):
 
 
 def run_to_stage(argv, out_dir):
-    """Run the CLI and return None on success, else the stage of its one error line.
+    """Run the CLI and return None on success, else its one error line after ``error: ``.
 
     A run that fails leaves no ``out_dir``.
     """
@@ -443,8 +508,8 @@ def run_to_stage(argv, out_dir):
         json.loads(report.read_bytes().decode("utf-8"), parse_constant=_refuse_constant)
         return None
     assert code == 1 and not out_dir.exists()
-    match = re.fullmatch(r"error: \[(\w+)\] [^\n]*\n", err.getvalue())
-    assert match and match[1] in _STAGES, err.getvalue()
+    match = re.fullmatch(r"error: (\[(\w+)\] [^\n]*)\n", err.getvalue())
+    assert match and match[2] in _STAGES, err.getvalue()
     return match[1]
 
 
@@ -472,13 +537,20 @@ class TestAnySettingsExitCleanly:
 
         argv = ["run", "--out", str(work / "flags")]
         for key, value in values.items():
-            argv += [f"--{key}", value]
+            # A config line's value is stripped, so the flag gets the text the file holds.
+            argv += [f"--{key}", value.strip()]
         by_flags = run_to_stage(argv + ["--svg"] if svg else argv, work / "flags")
 
         cfg = work / "run.cfg"
         values.update(out=str(work / "file"), svg=str(svg).lower())
         cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()), encoding="utf-8")
-        assert run_to_stage(["run", "--config", str(cfg)], work / "file") == by_flags
+        by_file = run_to_stage(["run", "--config", str(cfg)], work / "file")
+        # A setting's error names where its text came from; the rest must agree.
+        if by_flags is not None:
+            by_flags = re.sub(r"^\[config\] --[\w-]+: ", "[config] ", by_flags)
+            place = rf"^\[config\] {re.escape(str(cfg))}, line \d+: "
+            by_file = re.sub(place, "[config] ", by_file)
+        assert by_file == by_flags
 
 
 def supplied_posts(work):
