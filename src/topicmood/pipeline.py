@@ -104,11 +104,17 @@ def _setting(flag, help, cast=str, default=None, check=None, choices=None):
     return field(default=default, metadata=metadata)
 
 
+def _file(flag, help, default=None):
+    """A file's setting: empty text names no file (``Path("")`` is the working directory)."""
+    check = _require(lambda path: path != "", "an empty path names no file")
+    return _setting(flag, help, str, default, check)
+
+
 @dataclass
 class RunConfig:
     """Everything a reproducible run depends on besides the input files; see :func:`_setting`."""
 
-    input_path: str | Path = _setting("input", "posts file (jsonl or csv)", default=MISSING)
+    input_path: str | Path = _file("input", "posts file (jsonl or csv)", MISSING)
     input_format: str = _setting("format", "input format", str, "jsonl", choices=("jsonl", "csv"))
     n_topics: int | None = _setting(  # may be omitted in fixture mode
         "topics", "number of topics K", int, None, _at_least(1, "topic count")
@@ -129,10 +135,10 @@ class RunConfig:
         _require(lambda r: 0 < r <= 1, "ramp must lie in (0, 1]"),
     )
     n_terms: int = _setting("n-terms", "top terms per topic", int, 7, _at_least(1, "n_terms"))
-    stopwords_path: str | Path | None = _setting("stopwords", "stopword file, else a bundled list")
-    lexicon_path: str | Path | None = _setting("lexicon", "lexicon file, else a bundled one")
-    vectors_path: str | Path | None = _setting("vectors", "pre-computed document vectors (jsonl)")
-    dist_matrix_path: str | Path | None = _setting("dist-matrix", "fixture-mode topic matrix (csv)")
+    stopwords_path: str | Path | None = _file("stopwords", "stopword file, else a bundled list")
+    lexicon_path: str | Path | None = _file("lexicon", "lexicon file, else a bundled one")
+    vectors_path: str | Path | None = _file("vectors", "pre-computed document vectors (jsonl)")
+    dist_matrix_path: str | Path | None = _file("dist-matrix", "fixture-mode topic matrix (csv)")
     out_dir: str | Path = _setting("out", "output directory", default="out")
     report_format: str = _setting("report", "report format", str, "json", choices=("json", "csv"))
     emit_svg: bool = _setting("svg", "also emit a TFN plot", _parse_bool, False)

@@ -13,11 +13,12 @@ ties and soft rows come from fixed-order sums that no BLAS build or
 thread count touches. Supplied embeddings take one dense BLAS product and
 stay tied to the BLAS's summation order.
 
-:func:`cluster` keeps a k x n matrix of these cosines: the k-means++
-seeding dots first, then, after each update, fresh rows for the centroids
-that moved. A label is the argmax of its column, the lowest index winning
-ties. The model carries the final matrix, from which :func:`soft_assign`
-takes the soft rows without a second product.
+:func:`cluster` keeps these cosines in one docs-major n x k buffer: the
+k-means++ seeding dots first, then fresh columns for the centroids that
+moved; sparse rows skip the zero products through a column index. A label
+is its row's argmax, the lowest index winning ties. The model carries the
+buffer as its k x n ``sims`` view, which :func:`soft_assign` spends: its
+softmax runs in place.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ class DocMatrix:
     """Documents as the rows of one feature matrix.
 
     TF-IDF rows from :func:`vectorize` are sparse: ``csr`` holds their CSR
-    triplets ``(indptr, indices, data)`` over the ``terms`` columns, and no
-    dense n x V array is built. Supplied embeddings from
-    :func:`load_vectors` are one dense ``matrix`` and have no term names.
-    Exactly one of the two is set. Both builders give rows of unit L2 norm,
-    which :func:`cluster` and :func:`soft_assign` rely on; they read the
-    rows through :meth:`rows`, :meth:`dots` and :meth:`label_sums` only.
+    triplets ``(indptr, indices, data)`` over the ``terms`` columns, columns
+    ascending within a row; no dense n x V array is built. Supplied
+    embeddings from :func:`load_vectors` are one dense ``matrix`` and have
+    no term names. Exactly one of the two is set. Both builders give rows of
+    unit L2 norm, which :func:`cluster` and :func:`soft_assign` rely on;
+    they read the rows through the methods below only.
     """
 
     post_ids: tuple[str, ...]
@@ -97,24 +98,39 @@ class DocMatrix:
         block[self._row_of[lo:hi] - start, indices[lo:hi]] = data[lo:hi]
         return block
 
-    def dots(self, vectors: np.ndarray) -> np.ndarray:
+    def column_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sparse non-zeros' positions stably sorted by column, and each column's start in them."""
+        counts = np.bincount(self.csr[1], minlength=self.n_features)
+        return np.argsort(self.csr[1], kind="stable"), np.concatenate(([0], np.cumsum(counts)))
+
+    def dots(self, vectors: np.ndarray, index=None) -> np.ndarray:
         """Dot products of every row with dense ``vectors`` of n_features.
 
-        One vector gives shape (n,), a (m, n_features) stack gives (m, n).
-        Sparse rows add their products over their non-zeros in column
-        order (one ``bincount`` per vector), so a stack gives the bits of
-        one vector at a time. Dense rows take one BLAS ``gemv`` for a
-        vector, one ``gemm`` for a stack.
+        One vector gives shape (n,), a (m, n_features) stack gives (m, n) as
+        the transpose of a docs-major array. Sparse rows add their products
+        over their non-zeros in column order (one ``bincount`` per vector),
+        so a stack gives the bits of one vector at a time. They go through a
+        :meth:`column_index`, built per call unless given, and skip the
+        columns where a vector is zero: those products are ±0.0, which never
+        move a sum that starts at +0.0. Dense rows take one BLAS ``gemv`` for
+        a vector, one ``gemm`` for a stack.
         """
         if self.matrix is not None:
             return (self.matrix @ vectors.T).T
+        if index is None:
+            index = self.column_index()
         if vectors.ndim == 2:
-            out = np.empty((len(vectors), len(self)))
+            out = np.empty((len(self), len(vectors))).T
             for row, vector in zip(out, vectors):
-                row[:] = self.dots(vector)
+                row[:] = self.dots(vector, index)
             return out
-        _, indices, data = self.csr
-        return np.bincount(self._row_of, weights=data * vectors[indices], minlength=len(self))
+        # Column by column: each row still meets its non-zeros in column order.
+        order, starts = index
+        cols = np.flatnonzero(vectors)
+        lo, size = starts[cols], starts[cols + 1] - starts[cols]
+        at = order[np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())]
+        weights = self.csr[2][at] * np.repeat(vectors[cols], size)
+        return np.bincount(self._row_of[at], weights=weights, minlength=len(self))
 
     def label_sums(self, labels: np.ndarray, k: int) -> np.ndarray:
         """Per-label sums of the rows, shape (k, n_features).
@@ -139,7 +155,8 @@ class TopicModel:
     vocabulary: tuple[str, ...]  # the DocMatrix terms; empty for embeddings
     centroids: np.ndarray  # shape (k, n_features), unit rows
     labels: np.ndarray  # cluster index in [0, k) of each DocMatrix row, in post_ids order
-    # DocMatrix.dots of the clustered rows with the centroids, shape (k, n)
+    # DocMatrix.dots of the clustered rows with the centroids, shape (k, n): a view
+    # of cluster's docs-major buffer, which soft_assign spends (None after)
     sims: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -272,16 +289,17 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
 
     Distances are cosine-based (rows and centroids are unit length, so
     similarity is a dot product). Each centroid is the normalized mean of
-    its members, summed in row order. A k x n matrix holds
-    :meth:`DocMatrix.dots` of every centroid with every row, starting as
-    the seeding dots; after an update only the rows of centroids that
+    its members, summed in row order. One docs-major n x k buffer holds
+    :meth:`DocMatrix.dots` of every row with every centroid, starting as
+    the seeding dots; after an update only the columns of centroids that
     moved are taken again (a centroid that keeps its members comes out
-    bit-identical). Dense rows take all k rows again in one product
-    instead. Labels are the matrix's column argmax, so nearest-centroid
-    ties break toward the lowest cluster index, and a cluster that empties
-    out is re-seeded with the most isolated document by that matrix. The
-    result, final matrix included, is a deterministic function of
-    (docs, k, seed).
+    bit-identical), sparse rows through a :meth:`DocMatrix.column_index`
+    that is dropped on return. Dense rows take all k columns again in one
+    product instead. Labels are the buffer's row argmaxes, so
+    nearest-centroid ties break toward the lowest cluster index, and a
+    cluster that empties out is re-seeded with the most isolated document
+    by that buffer. The result, with the buffer as its k x n ``sims`` view,
+    is a deterministic function of (docs, k, seed).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -290,16 +308,17 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
 
     n = len(docs)
     rng = np.random.default_rng(seed)
-    sims = np.empty((k, n))  # sims[kk]: every row's dot with centroid kk
+    index = None if docs.csr is None else docs.column_index()
+    sims = np.empty((n, k))  # sims[:, kk]: every row's dot with centroid kk
 
     def retake(changed):
-        if docs.matrix is not None:
+        if index is None:
             # Dense rows take every centroid again: BLAS sums a lone vector
             # (gemv) in another order than a stack (gemm).
-            sims[:] = docs.dots(centroids)
+            sims[:] = docs.dots(centroids).T
             return
         for kk in changed:
-            sims[kk] = docs.dots(centroids[kk])
+            sims[:, kk] = docs.dots(centroids[kk], index)
 
     # k-means++ seeding on cosine distance.
     centroids = np.empty((k, docs.n_features))
@@ -313,21 +332,20 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
             else:
                 nxt = int(rng.choice(n, p=dist / total))
         centroids[kk] = docs.rows(nxt, nxt + 1)[0]
-        sims[kk] = docs.dots(centroids[kk])
-        dist = np.minimum(dist, np.maximum(1.0 - sims[kk], 0.0))
+        sims[:, kk] = col = docs.dots(centroids[kk], index)
+        dist = np.minimum(dist, np.maximum(1.0 - col, 0.0))
     retake([])  # dense rows: the seeds' gemv sums become one gemm's
 
     labels = np.full(n, -1)
     for _ in range(max_iters):
-        # Lowest index wins ties; sims.argmax(axis=0) agrees but copies all of sims.
-        new_labels = (sims == sims.max(axis=0)).argmax(axis=0)
+        new_labels = sims.argmax(axis=1)  # along contiguous rows; the lowest index wins ties
 
         # Re-seed empty clusters with the most isolated document, stealing
         # only from clusters that keep at least one member.
         counts = np.bincount(new_labels, minlength=k)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
-            order = [int(i) for i in np.argsort(sims.max(axis=0), kind="stable")]
+            order = [int(i) for i in np.argsort(sims.max(axis=1), kind="stable")]
             for kk in empty:
                 pick = next(i for i in order if counts[new_labels[i]] > 1)
                 counts[new_labels[pick]] -= 1
@@ -352,7 +370,7 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
         if moved:
             retake(moved)
 
-    return TopicModel(k, docs.terms, centroids, labels, sims)
+    return TopicModel(k, docs.terms, centroids, labels, sims.T)
 
 
 def ctfidf_weight(tf_tc: float, tf_t: float, avg_words: float) -> float:
@@ -381,7 +399,9 @@ def ctfidf_top_terms(
         raise ValueError("n_terms must be >= 1")
     if len(labels) != len(docs):
         raise ValueError(f"{len(labels)} labels for {len(docs)} documents")
-    if not np.array_equal(np.unique(labels), np.arange(k)):
+    # A range test and one count: np.unique would import numpy.ma.
+    in_range = len(labels) and 0 <= labels.min() and labels.max() < k
+    if not (in_range and np.bincount(labels, minlength=k).all()):
         raise ValueError(f"labels must lie in [0, {k}), and every cluster needs a document")
 
     terms, rows, cols, counts = _term_counts(docs)
@@ -424,7 +444,8 @@ def soft_assign(
     have the features the model was clustered on. The cosines are the
     model's ``sims`` when it carries them, which requires ``docs`` to be
     the rows it was clustered on; otherwise ``docs.dots`` of the
-    centroids, the same values.
+    centroids, the same values. The softmax overwrites their docs-major
+    buffer, so it spends ``sims``: the model carries ``None`` afterwards.
     """
     check_temperature(temperature)
     if model.k < 1:
@@ -434,12 +455,11 @@ def soft_assign(
     sims = model.sims if model.sims is not None else docs.dots(model.centroids)
     if sims.shape != (model.k, len(docs)):
         raise ValueError(f"model similarities of shape {sims.shape} do not match the documents")
+    model.sims = None
 
-    # The softmax runs in place on one n x k copy: the values of the
-    # out-of-place expressions, each row summed as a contiguous row.
-    # Fresh dots are freed once copied.
-    dist = np.divide(sims.T, temperature, order="C")
-    del sims
+    # In place on the buffer under sims, each row summed as a contiguous row.
+    dist = np.ascontiguousarray(sims.T)
+    dist /= temperature
     dist -= dist.max(axis=1, keepdims=True)
     np.exp(dist, out=dist)
     dist /= dist.sum(axis=1, keepdims=True)

@@ -138,6 +138,21 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: [config] {message}\n"
         assert not (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize("flag", ["input", "stopwords", "lexicon", "vectors", "dist-matrix"])
+    def test_empty_path_fails_in_config_stage(self, corpus_path, tmp_path, capsys, flag):
+        # Path("") is the working directory, so an empty path would fail in a later stage.
+        out_dir = tmp_path / "out"
+        assert main([*run_args(corpus_path, out_dir), f"--{flag}", ""]) == 1
+        message = "an empty path names no file"
+        assert capsys.readouterr().err == f"error: [config] --{flag}: {message}\n"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"topics=3\n{flag}=\n", encoding="utf-8")
+        args = ["run", "--config", str(config), "--out", str(out_dir)]
+        args += [] if flag == "input" else ["--input", str(corpus_path)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: [config] {config}, line 2: {message}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "extra,message",
         [
@@ -398,6 +413,22 @@ class TestModuleInvocation:
             env=src_env(),
         )
         assert proc.returncode == 0
+
+    def test_clustered_run_does_not_load_numpy_ma(self, corpus_path, tmp_path):
+        probe = "import sys, numpy; sys.exit('numpy.ma' in sys.modules)"
+        if subprocess.run([sys.executable, "-c", probe]).returncode:
+            pytest.skip("this numpy loads numpy.ma on import")
+        out_dir = tmp_path / "out"
+        run = (
+            "import sys; from topicmood.cli import main; code = main(sys.argv[1:]); "
+            "sys.exit(code or 3 * ('numpy.ma' in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", run, *run_args(corpus_path, out_dir)],
+            capture_output=True, text=True, encoding="utf-8", env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out_dir / "report.json").exists()
 
 
 class TestBlasThreads:

@@ -408,6 +408,67 @@ class TestCarriedSims:
         assert soft_assign(half, replace(model, sims=None), 0.25).matrix.shape == (8, 2)
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestDocsMajorSims:
+    """One docs-major n x k buffer, sparse dots through a column index, and a spent ``sims``."""
+
+    @settings(deadline=None)
+    @given(unit_rows(), st.booleans(), st.data())
+    def test_cluster_matches_lloyd_reference(self, mat, sparse, data):
+        # Copied rows make exact ties, duplicate seeds and re-seeds.
+        for i in data.draw(st.lists(st.integers(0, len(mat) - 1), max_size=len(mat))):
+            mat[i] = mat[data.draw(st.integers(0, len(mat) - 1))]
+        docs = as_docs(mat, sparse)
+        k = data.draw(st.integers(1, len(mat)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        labels, centroids, sims = lloyd_reference(docs, k, seed)
+        model = cluster(docs, k, seed)
+        # Equal values; a zero's sign may differ, since cluster keeps a centroid
+        # whose new mean compares equal to it.
+        np.testing.assert_array_equal(model.labels, labels)
+        np.testing.assert_array_equal(model.centroids, centroids)
+        np.testing.assert_array_equal(model.sims, sims.T)
+
+    @settings(deadline=None)
+    @given(unit_rows(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_sparse_dots_skip_zero_columns_exactly(self, mat, m, seed):
+        # Rows with negative cells make -0.0 products in the columns a vector skips.
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(m, mat.shape[1])) * (rng.random((m, mat.shape[1])) < 0.5)
+        docs = as_docs(mat, sparse=True)
+        expected = fixed_order_dots(mat, vectors).T
+        assert same_bits(docs.dots(vectors), expected)
+        index = docs.column_index()
+        for vector, row in zip(vectors, expected):
+            assert same_bits(docs.dots(vector, index), row)
+
+    @settings(deadline=None)
+    @given(unit_rows(), st.booleans(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_soft_assign_spends_sims_and_a_second_call_gives_the_same_bits(
+        self, mat, sparse, k, seed
+    ):
+        docs = as_docs(mat, sparse)
+        model = cluster(docs, min(k, len(docs)), seed)
+        first = soft_assign(docs, model, 0.25).matrix
+        assert model.sims is None
+        assert same_bits(soft_assign(docs, model, 0.25).matrix, first)
+
+    def test_soft_assign_holds_no_second_copy_of_sims(self):
+        vecs = vectorize(synth_docs(3000, 42))
+        model = cluster(vecs, 42, seed=1)
+        tracemalloc.start()
+        try:
+            soft_assign(vecs, model, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_copy = len(vecs) * 42 * 8
+        assert peak < one_copy / 2, (peak, one_copy)
+
+
 def top_terms_of(clusters, n_terms):
     """``ctfidf_top_terms`` on documents given as one list per cluster."""
     docs = [d for group in clusters for d in group]
