@@ -9,7 +9,7 @@ from dataclasses import MISSING, fields
 from itertools import takewhile
 from pathlib import Path
 
-from .corpus import utf8_lines
+from .corpus import content_lines
 from .pipeline import RunConfig, StageError, _stage, emit_report, emit_tfn_svg, run_pipeline
 
 _SETTINGS = {f.metadata["flag"]: f for f in fields(RunConfig)}  # config-file key -> field
@@ -40,22 +40,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
     """Each key's place (file and line) and value text."""
     lines: dict[str, tuple[int, str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(utf8_lines(fh, ValueError), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}, line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _SETTINGS:
-                raise ValueError(f"{path}, line {lineno}: unknown key {key!r}")
-            if key in lines:
-                raise ValueError(
-                    f"{path}, line {lineno}: duplicate key {key!r} (first on line {lines[key][0]})"
-                )
-            lines[key] = lineno, value.strip()
+    for lineno, line in content_lines(path, ValueError):
+        if "=" not in line:
+            raise ValueError(f"{path}, line {lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _SETTINGS:
+            raise ValueError(f"{path}, line {lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ValueError(
+                f"{path}, line {lineno}: duplicate key {key!r} (first on line {lines[key][0]})"
+            )
+        lines[key] = lineno, value.strip()
     return {key: (f"{path}, line {lineno}", text) for key, (lineno, text) in lines.items()}
 
 

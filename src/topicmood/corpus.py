@@ -136,6 +136,18 @@ def utf8_lines(fh, error: type[ValueError] = CorpusError):
         raise error(f"{fh.name}: invalid UTF-8") from None
 
 
+def content_lines(path: str | Path, error: type[ValueError] = CorpusError):
+    """``(line number, stripped line)`` for each line that is neither blank nor a '#' comment.
+
+    The one reader the config, stopword and lexicon files share; bad UTF-8 raises ``error``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(utf8_lines(fh, error), start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
 def _iter_jsonl(path: Path, error: type[ValueError] = CorpusError):
     """``(line number, record)`` per non-blank line; a bad line raises ``error``."""
     with open(path, encoding="utf-8") as fh:
@@ -245,14 +257,7 @@ def preprocess(post: Post, stopwords: set[str] | frozenset[str]) -> CleanDoc:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword file: one token per line, '#' lines are comments."""
-    words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in utf8_lines(fh):
-            word = line.strip()
-            if not word or word.startswith("#"):
-                continue
-            words.add(word.lower())
-    return frozenset(words)
+    return frozenset(word.lower() for _, word in content_lines(path))
 
 
 def default_stopwords() -> frozenset[str]:

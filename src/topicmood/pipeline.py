@@ -10,8 +10,8 @@ The topic stage has two sources: ``_supplied_topics`` reads a supplied
 distribution matrix, ``_clustered_topics`` clusters supplied vectors or the
 built-in TF-IDF rows. Both return the TopicDistribution over the
 contributing posts, each topic's top terms (empty for a supplied matrix),
-an array of each contributing post's hard topic in the distribution's row
-order, and the live post ids a supplied file does not cover.
+an array of each contributing post's hard topic, and each row's position
+in the kept posts, by which the run reads polarities, weights and documents.
 """
 
 from __future__ import annotations
@@ -298,33 +298,32 @@ def _dist_matrix_rows(fh) -> topics_mod.TopicDistribution:
     return topics_mod.TopicDistribution(tuple(ids), np.array(rows).reshape(len(rows), k))
 
 
-def _keep_live(supplied, source: str, all_ids: set[str], live_docs):
+def _keep_live(supplied, source: str, posts, docs, live):
     """Restrict a supplied per-post matrix to the rows of live documents.
 
-    ``supplied`` is a TopicDistribution or a DocMatrix with a dense
-    matrix. The live rows move to the front of that matrix in place, one
-    row at a time and in order, and the result holds a view of them, so no
-    second array is made; ``supplied`` itself is spent. Returns the restricted matrix and
-    the ids of the live documents it does not cover. An id that names no
-    input post is an error, and so is a file that covers no live document.
+    ``supplied`` is a TopicDistribution or a DocMatrix with a dense matrix, ``live`` the positions
+    in ``docs`` of the non-empty documents. The live rows move to the front of that matrix in place,
+    one at a time and in order, and the result holds a view of them, so no second array is made;
+    ``supplied`` itself is spent. Returns the restricted matrix and, per row, its post's position in
+    ``docs``. An id naming none of ``posts`` is an error, as is a file that covers no live post.
     """
     ids = supplied.post_ids
+    all_ids = {p.id for p in posts}
     unknown = [i for i in ids if i not in all_ids]
     if unknown:
         raise ValueError(f"{source} references unknown post id {unknown[0]!r}")
-    live_ids = {d.post_id for d in live_docs}
-    keep = [i for i, pid in enumerate(ids) if pid in live_ids]
+    position = {docs[i].post_id: i for i in live}
+    keep = [i for i, pid in enumerate(ids) if pid in position]
     if not keep:
         raise ValueError("no documents left for topic modeling")
     matrix = supplied.matrix
     for row, i in enumerate(keep):  # keep ascends, so no live row is overwritten before it moves
         matrix[row] = matrix[i]
     kept = replace(supplied, post_ids=tuple(ids[i] for i in keep), matrix=matrix[: len(keep)])
-    covered = set(kept.post_ids)
-    return kept, [d.post_id for d in live_docs if d.post_id not in covered]
+    return kept, [position[pid] for pid in kept.post_ids]
 
 
-def _supplied_topics(config: RunConfig, all_ids: set[str], live_docs):
+def _supplied_topics(config: RunConfig, posts, docs, live):
     """Fixture-mode topics: the live rows of a supplied distribution matrix."""
     full_dist = load_dist_matrix(config.dist_matrix_path)
     if config.n_topics is not None and config.n_topics != full_dist.k:
@@ -332,24 +331,27 @@ def _supplied_topics(config: RunConfig, all_ids: set[str], live_docs):
             f"configured topic count {config.n_topics} disagrees with the "
             f"supplied matrix ({full_dist.k} columns)"
         )
-    dist, excluded_ids = _keep_live(full_dist, "distribution matrix", all_ids, live_docs)
-    return dist, [[] for _ in range(dist.k)], dist.matrix.argmax(axis=1), excluded_ids
+    dist, rows = _keep_live(full_dist, "distribution matrix", posts, docs, live)
+    if not (live_mass := dist.matrix.max(axis=0)).all():
+        topic = int(live_mass.argmin())  # the first zero column; post_id is column 1
+        where = f"{config.dist_matrix_path}: topic {topic} (column {topic + 2})"
+        raise ValueError(f"{where} is zero on all {len(rows)} rows of live posts")
+    return dist, [[] for _ in range(dist.k)], dist.matrix.argmax(axis=1), rows
 
 
-def _clustered_topics(config: RunConfig, all_ids: set[str], live_docs):
+def _clustered_topics(config: RunConfig, posts, docs, live):
     """Topics from k-means over supplied vectors or the built-in TF-IDF rows."""
     if config.vectors_path is None:
-        rows, excluded_ids = topics_mod.vectorize(live_docs), []
+        vectors, rows = topics_mod.vectorize([docs[i] for i in live]), live
     else:
-        rows, excluded_ids = _keep_live(
-            topics_mod.load_vectors(config.vectors_path), "vectors file", all_ids, live_docs
+        vectors, rows = _keep_live(
+            topics_mod.load_vectors(config.vectors_path), "vectors file", posts, docs, live
         )
-    model = topics_mod.cluster(rows, config.n_topics, config.seed)
-    doc_of = {doc.post_id: doc for doc in live_docs}
-    docs = [doc_of[post_id] for post_id in rows.post_ids]
-    top_terms = topics_mod.ctfidf_top_terms(docs, model.labels, model.k, config.n_terms)
-    dist = topics_mod.soft_assign(rows, model, config.temperature)
-    return dist, top_terms, model.labels, excluded_ids
+    model = topics_mod.cluster(vectors, config.n_topics, config.seed)
+    row_docs = [docs[i] for i in rows]
+    top_terms = topics_mod.ctfidf_top_terms(row_docs, model.labels, model.k, config.n_terms)
+    dist = topics_mod.soft_assign(vectors, model, config.temperature)
+    return dist, top_terms, model.labels, rows
 
 
 def run_pipeline(config: RunConfig) -> RunResult:
@@ -372,8 +374,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
             stopwords = corpus_mod.default_stopwords()
         docs = [corpus_mod.preprocess(p, stopwords) for p in kept]
 
-    empty_ids = [d.post_id for d in docs if d.is_empty]
-    live_docs = [d for d in docs if not d.is_empty]
+    live = [i for i, d in enumerate(docs) if not d.is_empty]
 
     with _stage("sentiment"):
         if config.lexicon_path is not None:
@@ -383,18 +384,16 @@ def run_pipeline(config: RunConfig) -> RunResult:
         scores = [sentiment_mod.resolve_polarity(p, d, lexicon) for p, d in zip(kept, docs)]
 
     with _stage("topics"):
-        if not live_docs:
+        if not live:
             raise ValueError("no documents left for topic modeling")
         source = _clustered_topics if config.dist_matrix_path is None else _supplied_topics
-        dist, top_terms, hard, excluded_ids = source(config, {p.id for p in posts}, live_docs)
+        dist, top_terms, hard, rows = source(config, posts, docs, live)
         doc_counts = np.bincount(hard, minlength=dist.k).tolist()
 
     with _stage("fuzzy"):
         prevalence = topics_mod.topic_prevalence(dist)
-        row_of = {p.id: i for i, p in enumerate(kept)}
-        take = [row_of[pid] for pid in dist.post_ids]
-        polarities = np.array([scores[i].value for i in take], dtype=float)
-        post_weights = np.array([kept[i].weight for i in take], dtype=float)
+        polarities = np.array([scores[i].value for i in rows], dtype=float)
+        post_weights = np.array([kept[i].weight for i in rows], dtype=float)
         reports = []
         for kk in range(dist.k):
             try:
@@ -424,11 +423,11 @@ def run_pipeline(config: RunConfig) -> RunResult:
         "mode": "standard" if config.dist_matrix_path is None else "fixture",
         "documents_in": len(posts),
         "filtered_short": len(posts) - len(kept),
-        "empty_after_cleaning": len(empty_ids),
-        "excluded": len(excluded_ids),
+        "empty_after_cleaning": len(kept) - len(live),
+        "excluded": len(live) - len(rows),
         "contributing": sum(doc_counts),
-        "empty_doc_ids": sorted(empty_ids),
-        "excluded_doc_ids": sorted(excluded_ids),
+        "empty_doc_ids": sorted(d.post_id for d in docs if d.is_empty),
+        "excluded_doc_ids": sorted(docs[i].post_id for i in set(live).difference(rows)),
         "polarity_sources": source_counts,
         "seed": config.seed,
     }

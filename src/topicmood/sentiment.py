@@ -15,7 +15,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .corpus import CleanDoc, Post, utf8_lines
+from .corpus import CleanDoc, Post, content_lines
 
 __all__ = [
     "Lexicon",
@@ -95,51 +95,47 @@ def load_lexicon(path: str | Path) -> Lexicon:
     seen: dict[str, int] = {}
     section = "entries"
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(utf8_lines(fh, LexiconError), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1].strip().lower()
-                if name not in ("entries", "negators", "intensifiers"):
-                    raise LexiconError(f"{path}, line {lineno}: unknown section [{name}]")
-                section = name
-                continue
+    for lineno, line in content_lines(path, LexiconError):
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip().lower()
+            if name not in ("entries", "negators", "intensifiers"):
+                raise LexiconError(f"{path}, line {lineno}: unknown section [{name}]")
+            section = name
+            continue
 
-            parts = line.split("\t")
-            word = parts[0].strip().lower()
-            if not word:
-                raise LexiconError(f"{path}, line {lineno}: empty word")
-            if word in seen:
+        parts = line.split("\t")
+        word = parts[0].strip().lower()
+        if not word:
+            raise LexiconError(f"{path}, line {lineno}: empty word")
+        if word in seen:
+            raise LexiconError(
+                f"{path}, line {lineno}: duplicate word {word!r} (first on line {seen[word]})"
+            )
+        seen[word] = lineno
+
+        if section == "negators":
+            if len(parts) != 1:
+                raise LexiconError(f"{path}, line {lineno}: negator lines carry a single word")
+            negators.add(word)
+            continue
+
+        if len(parts) != 2:
+            raise LexiconError(f"{path}, line {lineno}: expected 'word<TAB>number'")
+        try:
+            number = float(parts[1])
+        except ValueError:
+            raise LexiconError(f"{path}, line {lineno}: not a number: {parts[1]!r}") from None
+
+        if section == "entries":
+            if not -1.0 <= number <= 1.0:
                 raise LexiconError(
-                    f"{path}, line {lineno}: duplicate word {word!r} (first on line {seen[word]})"
+                    f"{path}, line {lineno}: polarity {number} outside [-1, 1]"
                 )
-            seen[word] = lineno
-
-            if section == "negators":
-                if len(parts) != 1:
-                    raise LexiconError(f"{path}, line {lineno}: negator lines carry a single word")
-                negators.add(word)
-                continue
-
-            if len(parts) != 2:
-                raise LexiconError(f"{path}, line {lineno}: expected 'word<TAB>number'")
-            try:
-                number = float(parts[1])
-            except ValueError:
-                raise LexiconError(f"{path}, line {lineno}: not a number: {parts[1]!r}") from None
-
-            if section == "entries":
-                if not -1.0 <= number <= 1.0:
-                    raise LexiconError(
-                        f"{path}, line {lineno}: polarity {number} outside [-1, 1]"
-                    )
-                entries[word] = number
-            else:
-                if not 0 < number < math.inf:
-                    raise LexiconError(f"{path}, line {lineno}: multiplier must be finite and > 0")
-                intensifiers[word] = number
+            entries[word] = number
+        else:
+            if not 0 < number < math.inf:
+                raise LexiconError(f"{path}, line {lineno}: multiplier must be finite and > 0")
+            intensifiers[word] = number
 
     return Lexicon(entries=entries, negators=frozenset(negators), intensifiers=intensifiers)
 

@@ -176,7 +176,7 @@ class TopicDistribution:
             raise ValueError(
                 f"matrix has {mat.shape[0]} rows but {len(self.post_ids)} post ids"
             )
-        if (mat < 0).any():
+        if np.fmin.reduce(mat, axis=None, initial=0.0) < 0:  # skips NaN: the sums catch it
             raise ValueError("matrix entries must be non-negative")
         sums = mat.sum(axis=1)
         bad = np.nonzero(~(np.abs(sums - 1.0) <= 1e-9))[0]  # a NaN sum fails too

@@ -89,6 +89,33 @@ class TestRunCommand:
         by_id = {t["topic_id"]: t for t in data["topics"]}
         assert by_id[0]["tfn"]["m"] == pytest.approx(0.315, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["p1,1,0", "p2,1,0", "p3,1,0"],
+            ["p1,1,0", "p4,0,1", "p2,1,0", "p3,1,0"],  # p4 is shorter than --min-chars
+        ],
+        ids=["zero-column", "mass-only-on-short-post"],
+    )
+    def test_supplied_topic_without_live_mass_fails_in_topics_stage(self, tmp_path, capsys, rows):
+        posts_path, _ = write_table_fixture(tmp_path)
+        records = [json.loads(line) for line in posts_path.read_text("utf-8").splitlines()]
+        posts_path = write_jsonl(tmp_path / "posts.jsonl", [*records, {"id": "p4", "text": "tiny"}])
+        matrix_path = tmp_path / "zero.csv"
+        matrix_path.write_text("\n".join(["post_id,t0,t1", *rows]) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "run", "--input", str(posts_path), "--dist-matrix", str(matrix_path),
+                "--min-chars", "30", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: [topics] {matrix_path}: topic 1 (column 3) "
+            "is zero on all 3 rows of live posts\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_fails_with_stage_tag(self, tmp_path, capsys):
         code = main(["run", "--input", str(tmp_path / "nope.jsonl"), "--topics", "2"])
         assert code == 1

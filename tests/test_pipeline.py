@@ -8,7 +8,7 @@ import threading
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from topicmood import pipeline
 from topicmood import topics as topics_mod
-from topicmood.fuzzy import TFN
+from topicmood.fuzzy import TFN, aggregate_topic
 from topicmood.pipeline import (
     RunConfig,
     StageError,
@@ -124,10 +124,15 @@ class TestFixtureMode:
         assert err.value.stage == "topics"
 
     def test_zero_weight_topic_names_topic(self, tmp_path):
+        # Topic 1's only mass, the smallest subnormal, times p2's weight rounds to 0: the
+        # column has live mass, so the topics stage passes it, and its total weight is zero.
         posts_path, _ = write_table_fixture(tmp_path)
+        records = [json.loads(line) for line in posts_path.read_text("utf-8").splitlines()]
+        records[1]["weight"] = 0.25
+        posts_path = write_jsonl(tmp_path / "weighted.jsonl", records)
         matrix_path = tmp_path / "zero.csv"
         matrix_path.write_text(
-            "post_id,t0,t1,t2\np1,0.5,0.0,0.5\np2,1.0,0.0,0.0\np3,0.0,0.0,1.0\n",
+            "post_id,t0,t1,t2\np1,0.5,0.0,0.5\np2,1.0,5e-324,0.0\np3,0.0,0.0,1.0\n",
             encoding="utf-8",
         )
         with pytest.raises(StageError, match=r"\[fuzzy\] topic 1: total weight") as err:
@@ -386,28 +391,88 @@ class TestKeepLive:
         keep = sorted(live)
         expected = supplied.matrix[keep]
         docs = [SimpleNamespace(post_id=f"p{i}") for i in [*live, n]]
-        all_ids = {*supplied.post_ids, f"p{n}"}
-        kept, uncovered = pipeline._keep_live(supplied, "m", all_ids, docs)
+        posts = [SimpleNamespace(id=pid) for pid in [*supplied.post_ids, f"p{n}"]]
+        kept, rows = pipeline._keep_live(supplied, "m", posts, docs, range(len(docs)))
         assert kept.post_ids == tuple(f"p{i}" for i in keep)
         assert kept.matrix.tobytes() == expected.tobytes()
-        assert uncovered == [f"p{n}"]
+        assert [docs[i].post_id for i in rows] == list(kept.post_ids)
 
     def test_live_rows_stay_in_the_loaded_array(self):
         n, k = 5000, 200
         supplied = dense_rows(n, k)
         expected = supplied.matrix[::2].copy()
         docs = [SimpleNamespace(post_id=f"p{i}") for i in range(0, n, 2)]
-        all_ids = set(supplied.post_ids)
+        posts = [SimpleNamespace(id=pid) for pid in supplied.post_ids]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            kept, _ = pipeline._keep_live(supplied, "m", all_ids, docs)
+            kept, _ = pipeline._keep_live(supplied, "m", posts, docs, range(len(docs)))
             added = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert added <= 0.2 * supplied.matrix.nbytes, added / supplied.matrix.nbytes
         assert np.shares_memory(kept.matrix, supplied.matrix)
         assert kept.matrix.tobytes() == expected.tobytes()
+
+
+_TEXT_OF_KIND = {  # at --min-chars 20
+    "short": "tiny",
+    "empty": "@user #tag http://x.example 1234 !!!",
+    "live": "the tram line keeps improving downtown",
+}
+
+
+class TestPositionalHandOff:
+    """Rows of a supplied matrix reach aggregation as the posts their ids name."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_topics_aggregate_the_posts_the_file_names(self, tmp_path_factory, data):
+        kinds = data.draw(
+            st.lists(st.sampled_from(sorted(_TEXT_OF_KIND)), min_size=1, max_size=10)
+            .filter(lambda kinds: "live" in kinds)
+        )
+        ids = [f"p{i}" for i in range(len(kinds))]
+        live_ids = {pid for pid, kind in zip(ids, kinds) if kind == "live"}
+        polarity = {pid: data.draw(st.floats(-1, 1)) for pid in ids}
+        weight = {pid: data.draw(st.floats(0.125, 8)) for pid in ids}
+        # A random subset of the ids, short and empty ones included, in shuffled order.
+        covered = data.draw(
+            st.lists(st.sampled_from(ids), min_size=1, unique=True)
+            .filter(lambda covered: live_ids.intersection(covered))
+        )
+        k = data.draw(st.integers(1, 3))
+        cells = {}
+        for pid in covered:
+            raw = data.draw(st.lists(st.floats(0.01, 1), min_size=k, max_size=k))
+            cells[pid] = [x / sum(raw) for x in raw]
+
+        base = tmp_path_factory.getbasetemp()
+        records = [
+            dict(id=pid, text=_TEXT_OF_KIND[kind], polarity=polarity[pid], weight=weight[pid])
+            for pid, kind in zip(ids, kinds)
+        ]
+        posts_path = write_jsonl(base / "handoff.jsonl", records)
+        matrix_path = base / "handoff.csv"
+        lines = [",".join(["post_id", *(f"t{j}" for j in range(k))])]
+        lines += [",".join([pid, *map(repr, cells[pid])]) for pid in covered]
+        matrix_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        result = run_pipeline(fixture_config(posts_path, matrix_path, min_chars=20))
+        meta = result.metadata
+        assert meta["documents_in"] == (
+            meta["contributing"] + meta["filtered_short"]
+            + meta["empty_after_cleaning"] + meta["excluded"]
+        )
+        assert meta["excluded_doc_ids"] == sorted(live_ids.difference(covered))
+        order = [pid for pid in covered if pid in live_ids]
+        for report in result.reports:
+            tfn, _ = aggregate_topic(
+                [polarity[pid] for pid in order],
+                [cells[pid][report.topic_id] for pid in order],
+                [weight[pid] for pid in order],
+            )
+            assert [x.hex() for x in astuple(report.tfn)] == [x.hex() for x in astuple(tfn)]
 
 
 @pytest.fixture(scope="module")

@@ -717,6 +717,25 @@ class TestTopicDistribution:
         with pytest.raises(ValueError, match="non-negative"):
             TopicDistribution(("a",), np.array([[1.5, -0.5]]))
 
+    def test_negative_cell_beside_nan_is_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            TopicDistribution(("a", "b"), np.array([[np.nan, 1.0], [1.5, -0.5]]))
+
+    def test_negative_zero_accepted(self):
+        assert TopicDistribution(("a",), np.array([[-0.0, 1.0]])).k == 2
+
+    def test_checks_make_no_cell_sized_temporary(self):
+        n, k = 1000, 200
+        matrix = np.full((n, k), 1.0 / k)
+        ids = tuple(f"p{i}" for i in range(n))
+        tracemalloc.start()
+        try:
+            TopicDistribution(ids, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k // 2, peak  # half of one n x k boolean
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             TopicDistribution(("a", "b"), np.array([[1.0]]))
