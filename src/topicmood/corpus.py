@@ -43,7 +43,8 @@ class Post:
 
     ``weight`` is an optional engagement multiplier (likes, retweets, ...)
     used later as an aggregation weight factor. ``polarity`` is an optional
-    pre-computed sentiment score that bypasses the lexicon scorer.
+    pre-computed sentiment score that bypasses the lexicon scorer. Both are
+    stored as floats; a value outside their range raises CorpusError.
     """
 
     id: str
@@ -55,11 +56,12 @@ class Post:
         if not self.id:
             raise CorpusError("post id must be non-empty")
         if not 0 < self.weight < math.inf:
-            raise CorpusError(f"post {self.id!r}: weight must be finite and > 0, got {self.weight}")
-        if self.polarity is not None and not -1.0 <= self.polarity <= 1.0:
-            raise CorpusError(
-                f"post {self.id!r}: polarity must lie in [-1, 1], got {self.polarity}"
-            )
+            raise CorpusError(f"weight must be finite and > 0, got {self.weight}")
+        object.__setattr__(self, "weight", float(self.weight))  # OverflowError past the float range
+        if self.polarity is not None:
+            if not -1.0 <= self.polarity <= 1.0:
+                raise CorpusError(f"polarity must lie in [-1, 1], got {self.polarity}")
+            object.__setattr__(self, "polarity", float(self.polarity))
 
 
 @dataclass(frozen=True)
@@ -90,25 +92,19 @@ def _coerce_post(record: dict, where: str) -> Post:
     if not isinstance(text, str):
         raise CorpusError(f"{where}: required field 'text' missing or not a string")
 
-    weight = record.get("weight", 1.0)
-    if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+    weight, polarity = record.get("weight", 1.0), record.get("polarity")  # null: no polarity
+    odd = [isinstance(v, bool) or not isinstance(v, (int, float)) for v in (weight, polarity)]
+    if odd[0]:
         raise CorpusError(f"{where}: field 'weight' must be a number")
-    if not 0 < weight < math.inf:
-        raise CorpusError(f"{where}: weight must be finite and > 0, got {weight}")
-    try:
-        weight = float(weight)
-    except OverflowError:  # an integer beyond the float range
+    try:  # the weight's faults come before a polarity that is not a number
+        post = Post(post_id, text, weight, None if odd[1] else polarity)
+    except CorpusError as exc:  # a range rule of Post
+        raise CorpusError(f"{where}: {exc}") from None
+    except OverflowError:  # an integer weight beyond the float range
         raise CorpusError(f"{where}: field 'weight' too large") from None
-
-    polarity = record.get("polarity")
-    if polarity is not None:
-        if isinstance(polarity, bool) or not isinstance(polarity, (int, float)):
-            raise CorpusError(f"{where}: field 'polarity' must be a number")
-        if not -1.0 <= polarity <= 1.0:
-            raise CorpusError(f"{where}: polarity must lie in [-1, 1], got {polarity}")
-        polarity = float(polarity)
-
-    return Post(id=post_id, text=text, weight=weight, polarity=polarity)
+    if polarity is not None and odd[1]:
+        raise CorpusError(f"{where}: field 'polarity' must be a number")
+    return post
 
 
 def utf8_lines(fh, error: type[ValueError] = CorpusError):

@@ -381,7 +381,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
             lexicon = sentiment_mod.load_lexicon(config.lexicon_path)
         else:
             lexicon = sentiment_mod.default_lexicon()
-        scores = [sentiment_mod.resolve_polarity(p, d, lexicon) for p, d in zip(kept, docs)]
+        resolve = sentiment_mod.resolve_polarity
+        polarity = np.array([resolve(p, d, lexicon).value for p, d in zip(kept, docs)])
 
     with _stage("topics"):
         if not live:
@@ -392,7 +393,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
 
     with _stage("fuzzy"):
         prevalence = topics_mod.topic_prevalence(dist)
-        polarities = np.array([scores[i].value for i in rows], dtype=float)
+        polarities = polarity[rows]
         post_weights = np.array([kept[i].weight for i in rows], dtype=float)
         reports = []
         for kk in range(dist.k):
@@ -415,10 +416,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
             )
         reports.sort(key=lambda r: (-r.prevalence, r.topic_id))
 
-    source_counts = {sentiment_mod.COMPUTED: 0, sentiment_mod.SUPPLIED: 0}
-    for score in scores:
-        source_counts[score.source] += 1
-
+    supplied = sum(p.polarity is not None for p in kept)
+    sources = {sentiment_mod.COMPUTED: len(kept) - supplied, sentiment_mod.SUPPLIED: supplied}
     metadata = {
         "mode": "standard" if config.dist_matrix_path is None else "fixture",
         "documents_in": len(posts),
@@ -428,7 +427,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
         "contributing": sum(doc_counts),
         "empty_doc_ids": sorted(d.post_id for d in docs if d.is_empty),
         "excluded_doc_ids": sorted(docs[i].post_id for i in set(live).difference(rows)),
-        "polarity_sources": source_counts,
+        "polarity_sources": sources,
         "seed": config.seed,
     }
     return RunResult(reports=reports, config=config.echo(), metadata=metadata)

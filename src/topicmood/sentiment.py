@@ -68,15 +68,13 @@ class Lexicon:
 
 @dataclass(frozen=True)
 class PolarityScore:
-    """Per-document sentiment in [-1, 1] with provenance."""
+    """Per-document sentiment in [-1, 1] (Post checks it, the scorer clamps it), with provenance."""
 
     post_id: str
     value: float
     source: str  # COMPUTED or SUPPLIED
 
     def __post_init__(self):
-        if not -1.0 <= self.value <= 1.0:
-            raise ValueError(f"polarity {self.value} outside [-1, 1]")
         if self.source not in (COMPUTED, SUPPLIED):
             raise ValueError(f"unknown source {self.source!r}")
 
