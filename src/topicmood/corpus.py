@@ -111,10 +111,11 @@ def utf8_lines(fh, error: type[ValueError] = CorpusError):
     """The lines of a file opened as UTF-8 text, in order.
 
     Invalid UTF-8 raises ``error``: ``{path}, line N: invalid UTF-8 (byte
-    0x.., reason)``. A text-mode file decodes ahead of the line being read,
-    so the decoder's position does not give the line; only after the read
-    has failed is the file decoded once more in full, through the same
-    handle, to find it; a named pipe cannot go back, and gets no line.
+    0x.., reason)``, where CR, LF and CRLF each end one line, as in text mode
+    and ``csv``. A text-mode file decodes ahead of the line being read, so
+    the decoder's position does not give the line; only after the read has
+    failed is the file decoded once more in full, through the same handle,
+    to find it; a named pipe cannot go back, and gets no line.
     """
     try:
         yield from fh
@@ -126,7 +127,7 @@ def utf8_lines(fh, error: type[ValueError] = CorpusError):
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            lineno = raw.count(b"\n", 0, exc.start) + 1
+            lineno = len(raw[: exc.start + 1].splitlines())  # the bad byte ends no line
             byte = f"byte 0x{raw[exc.start]:02x}: {exc.reason}"
             raise error(f"{fh.name}, line {lineno}: invalid UTF-8 ({byte})") from None
         raise error(f"{fh.name}: invalid UTF-8") from None

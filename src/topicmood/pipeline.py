@@ -255,46 +255,49 @@ def _dist_matrix_rows(fh) -> topics_mod.TopicDistribution:
     path = fh.name
     reader = csv.reader(corpus_mod.utf8_lines(fh, ValueError))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty distribution matrix") from None
-    if not header or header[0].strip() != "post_id":
-        raise ValueError(f"{path}: first column must be named 'post_id'")
-    k = len(header) - 1
-    if k < 1:
-        raise ValueError(f"{path}: no topic columns")
-
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
-    for row in reader:
-        lineno = reader.line_num
-        if not row:
-            continue
-        if len(row) != k + 1:
-            raise ValueError(f"{path}, line {lineno}: expected {k + 1} columns, got {len(row)}")
-        post_id = row[0].strip()
-        if not post_id:
-            raise ValueError(f"{path}, line {lineno}: empty post_id")
-        if post_id in seen:
-            raise ValueError(f"{path}, line {lineno}: duplicate post_id {post_id!r}")
-        seen.add(post_id)
         try:
-            values = np.array([float(cell) for cell in row[1:]])
-        except ValueError:
-            raise ValueError(f"{path}, line {lineno}: non-numeric probability") from None
-        if (values < 0).any():
-            raise ValueError(f"{path}, line {lineno}: negative probability")
-        with np.errstate(over="ignore"):
-            total = float(values.sum())  # TopicDistribution's pairwise total
-        if not math.isfinite(total):  # a NaN or inf cell
-            raise ValueError(f"{path}, line {lineno}: non-finite probability")
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(
-                f"{path}, line {lineno}: probabilities sum to {total!r}, expected 1"
-            )
-        ids.append(post_id)
-        rows.append(values)
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty distribution matrix") from None
+        if not header or header[0].strip() != "post_id":
+            raise ValueError(f"{path}: first column must be named 'post_id'")
+        k = len(header) - 1
+        if k < 1:
+            raise ValueError(f"{path}: no topic columns")
+
+        ids: list[str] = []
+        rows: list[np.ndarray] = []
+        seen: set[str] = set()
+        for row in reader:
+            lineno = reader.line_num
+            if not row:
+                continue
+            if len(row) != k + 1:
+                raise ValueError(f"{path}, line {lineno}: expected {k + 1} columns, got {len(row)}")
+            post_id = row[0].strip()
+            if not post_id:
+                raise ValueError(f"{path}, line {lineno}: empty post_id")
+            if post_id in seen:
+                raise ValueError(f"{path}, line {lineno}: duplicate post_id {post_id!r}")
+            seen.add(post_id)
+            try:
+                values = np.array([float(cell) for cell in row[1:]])
+            except ValueError:
+                raise ValueError(f"{path}, line {lineno}: non-numeric probability") from None
+            if (values < 0).any():
+                raise ValueError(f"{path}, line {lineno}: negative probability")
+            with np.errstate(over="ignore"):
+                total = float(values.sum())  # TopicDistribution's pairwise total
+            if not math.isfinite(total):  # a NaN or inf cell
+                raise ValueError(f"{path}, line {lineno}: non-finite probability")
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(
+                    f"{path}, line {lineno}: probabilities sum to {total!r}, expected 1"
+                )
+            ids.append(post_id)
+            rows.append(values)
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return topics_mod.TopicDistribution(tuple(ids), np.array(rows).reshape(len(rows), k))
 
 
@@ -323,7 +326,7 @@ def _keep_live(supplied, source: str, posts, docs, live):
     return kept, [position[pid] for pid in kept.post_ids]
 
 
-def _supplied_topics(config: RunConfig, posts, docs, live):
+def _supplied_topics(config: RunConfig, posts, docs, live, weight):
     """Fixture-mode topics: the live rows of a supplied distribution matrix."""
     full_dist = load_dist_matrix(config.dist_matrix_path)
     if config.n_topics is not None and config.n_topics != full_dist.k:
@@ -332,14 +335,16 @@ def _supplied_topics(config: RunConfig, posts, docs, live):
             f"supplied matrix ({full_dist.k} columns)"
         )
     dist, rows = _keep_live(full_dist, "distribution matrix", posts, docs, live)
-    if not (live_mass := dist.matrix.max(axis=0)).all():
-        topic = int(live_mass.argmin())  # the first zero column; post_id is column 1
+    # Each topic's total weight in the fuzzy stage, zero iff every cell x weight is; no n x k array.
+    if not (live_mass := weight[rows] @ dist.matrix).all():
+        topic = int(live_mass.argmin())  # the first massless topic; post_id is column 1
         where = f"{config.dist_matrix_path}: topic {topic} (column {topic + 2})"
-        raise ValueError(f"{where} is zero on all {len(rows)} rows of live posts")
+        weighted = " times the post weights" if dist.matrix[:, topic].any() else ""
+        raise ValueError(f"{where}{weighted} is zero on all {len(rows)} rows of live posts")
     return dist, [[] for _ in range(dist.k)], dist.matrix.argmax(axis=1), rows
 
 
-def _clustered_topics(config: RunConfig, posts, docs, live):
+def _clustered_topics(config: RunConfig, posts, docs, live, weight):
     """Topics from k-means over supplied vectors or the built-in TF-IDF rows."""
     if config.vectors_path is None:
         vectors, rows = topics_mod.vectorize([docs[i] for i in live]), live
@@ -373,6 +378,7 @@ def run_pipeline(config: RunConfig) -> RunResult:
         else:
             stopwords = corpus_mod.default_stopwords()
         docs = [corpus_mod.preprocess(p, stopwords) for p in kept]
+        weight = np.array([p.weight for p in kept])
 
     live = [i for i, d in enumerate(docs) if not d.is_empty]
 
@@ -388,13 +394,13 @@ def run_pipeline(config: RunConfig) -> RunResult:
         if not live:
             raise ValueError("no documents left for topic modeling")
         source = _clustered_topics if config.dist_matrix_path is None else _supplied_topics
-        dist, top_terms, hard, rows = source(config, posts, docs, live)
+        dist, top_terms, hard, rows = source(config, posts, docs, live, weight)
         doc_counts = np.bincount(hard, minlength=dist.k).tolist()
 
     with _stage("fuzzy"):
         prevalence = topics_mod.topic_prevalence(dist)
         polarities = polarity[rows]
-        post_weights = np.array([kept[i].weight for i in rows], dtype=float)
+        post_weights = weight[rows]
         reports = []
         for kk in range(dist.k):
             try:

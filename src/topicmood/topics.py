@@ -413,7 +413,7 @@ def ctfidf_top_terms(
     weights = [ctfidf_weight(c, t, avg_words) for c, t in zip(in_cluster, total)]
     # Cells run by cluster, then by term; a stable sort on -weight keeps ties alphabetical.
     order = np.lexsort((-np.array(weights), cell_cluster))
-    starts = np.searchsorted(cell_cluster, range(k + 1))
+    starts = np.searchsorted(cell_cluster, range(k + 1)).tolist()  # ints: a + n_terms never overflows
     return [
         [(terms[cell_term[i]], weights[i]) for i in order[a : min(b, a + n_terms)]]
         for a, b in zip(starts, starts[1:])

@@ -122,7 +122,7 @@ _UNIT_CELLS = {
 }
 _ODD_MATRIX_CELLS = [
     "1_0", "\u0663", "nan", "inf", "-inf", "-0.5", "1.5", "", "x", "0x1p-2", "1e-400",
-    '"0.5"', "0.5\x1c", "\x1f1", "0.5\x00", "1" + "0" * 400, "0.5\r0.5",
+    '"0.5"', "0.5\x1c", "\x1f1", "0.5\x00", "1" + "0" * 400, "0.5\r0.5", OVER_CSV_LIMIT,
 ]
 _PADS = [""] * 6 + [" ", "\t", "\x0b", "\x0c", "\xa0", "\u2028", "\x85", "\x1c"]
 _ODD_MATRIX_IDS = ["p0", "", " ", "\t"] * 3 + [

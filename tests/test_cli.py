@@ -67,6 +67,15 @@ class TestRunCommand:
         assert report_a == report_b
         assert outputs[0][1] == outputs[1][1]
 
+    def test_n_terms_beyond_a_c_long_returns_every_term(self, corpus_path, tmp_path):
+        reports = {}
+        for n_terms in ("1000", "1" + "0" * 20):
+            assert main(run_args(corpus_path, tmp_path / "out", "--n-terms", n_terms)) == 0
+            reports[n_terms] = json.loads((tmp_path / "out" / "report.json").read_text("utf-8"))
+        few, many = reports.values()
+        assert many["config"]["n_terms"] == 10**20
+        assert {**many, "config": None} == {**few, "config": None}
+
     def test_svg_topic_selection(self, corpus_path, tmp_path):
         out_dir = tmp_path / "out"
         code = main(run_args(corpus_path, out_dir, "--svg", "--svg-topics", "0,1"))

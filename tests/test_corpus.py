@@ -167,6 +167,9 @@ class TestLoadPostsJsonl:
         path.write_bytes(b'{"id": "a", "text": "x"}\n{"id": "b", "text": "caf\xff"}\n')
         with pytest.raises(CorpusError, match=r"posts\.jsonl, line 2: invalid UTF-8"):
             load_posts(path, "jsonl")
+        path.write_bytes(b'{"id": "a", "text": "x"}\r\r{"id": "b", "text": "caf\xff"}\r')  # CR only
+        with pytest.raises(CorpusError, match=r"posts\.jsonl, line 3: invalid UTF-8"):
+            load_posts(path, "jsonl")
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_invalid_utf8_on_a_pipe_fails_without_line(self, tmp_path):

@@ -125,7 +125,7 @@ class TestFixtureMode:
 
     def test_zero_weight_topic_names_topic(self, tmp_path):
         # Topic 1's only mass, the smallest subnormal, times p2's weight rounds to 0: the
-        # column has live mass, so the topics stage passes it, and its total weight is zero.
+        # column has live mass, but no weight for the fuzzy stage, so the topics stage refuses it.
         posts_path, _ = write_table_fixture(tmp_path)
         records = [json.loads(line) for line in posts_path.read_text("utf-8").splitlines()]
         records[1]["weight"] = 0.25
@@ -135,9 +135,12 @@ class TestFixtureMode:
             "post_id,t0,t1,t2\np1,0.5,0.0,0.5\np2,1.0,5e-324,0.0\np3,0.0,0.0,1.0\n",
             encoding="utf-8",
         )
-        with pytest.raises(StageError, match=r"\[fuzzy\] topic 1: total weight") as err:
+        with pytest.raises(StageError) as err:
             run_pipeline(fixture_config(posts_path, matrix_path))
-        assert err.value.stage == "fuzzy"
+        assert str(err.value) == (
+            f"[topics] {matrix_path}: topic 1 (column 3) times the post weights "
+            "is zero on all 3 rows of live posts"
+        )
 
     def test_matrix_with_unknown_post_id(self, tmp_path):
         posts_path, _ = write_table_fixture(tmp_path)
@@ -206,6 +209,9 @@ class TestLoadDistMatrix:
         with pytest.raises(ValueError, match=r"m\.csv, line 2: invalid UTF-8 \(byte 0xff") as err:
             load_dist_matrix(path)
         assert not isinstance(err.value, UnicodeDecodeError)
+        path.write_bytes(b"post_id,t0\ra,1.0\rcaf\xff,1.0\r")  # CR-only line ends
+        with pytest.raises(ValueError, match=r"m\.csv, line 3: invalid UTF-8 \(byte 0xff"):
+            load_dist_matrix(path)
 
     @pytest.mark.parametrize("lineterminator", ["\r\n", "\n"], ids=["crlf", "lf"])
     def test_valid_files_take_bulk_path(self, tmp_path, monkeypatch, lineterminator):
@@ -239,7 +245,7 @@ class TestLoadDistMatrix:
     def test_field_over_csv_limit_goes_to_row_loop(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("post_id,t0\na," + " " * csv.field_size_limit() + "1\n", encoding="utf-8")
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(ValueError, match=r"m\.csv, line 2: field larger than field limit"):
             load_dist_matrix(path)
 
     @pytest.mark.parametrize(

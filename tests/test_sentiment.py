@@ -101,6 +101,9 @@ class TestLoadLexicon:
         path.write_bytes(b"good\t0.7\ncaf\xff\t0.5\n")
         with pytest.raises(LexiconError, match=r"lex\.txt, line 2: invalid UTF-8 \(byte 0xff"):
             load_lexicon(path)
+        path.write_bytes(b"good\t0.7\r# CR-only line ends\rcaf\xff\t0.5\r")
+        with pytest.raises(LexiconError, match=r"lex\.txt, line 3: invalid UTF-8 \(byte 0xff"):
+            load_lexicon(path)
 
     def test_duplicate_word_names_both_lines(self, tmp_path):
         path = tmp_path / "lex.txt"
