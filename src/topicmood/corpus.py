@@ -138,7 +138,7 @@ def content_lines(path: str | Path, error: type[ValueError] = CorpusError):
 
     The one reader the config, stopword and lexicon files share; bad UTF-8 raises ``error``.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(utf8_lines(fh, error), start=1):
             line = raw.strip()
             if line and not line.startswith("#"):
@@ -147,7 +147,7 @@ def content_lines(path: str | Path, error: type[ValueError] = CorpusError):
 
 def _iter_jsonl(path: Path, error: type[ValueError] = CorpusError):
     """``(line number, record)`` per non-blank line; a bad line raises ``error``."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(utf8_lines(fh, error), start=1):
             if not line.strip():
                 continue
@@ -171,7 +171,7 @@ def _parse_csv_number(raw: str | None, name: str, where: str) -> float | None:
 
 
 def _iter_csv(path: Path):
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(utf8_lines(fh))
         try:
             if reader.fieldnames is None:

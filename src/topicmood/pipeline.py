@@ -10,8 +10,9 @@ The topic stage has two sources: ``_supplied_topics`` reads a supplied
 distribution matrix, ``_clustered_topics`` clusters supplied vectors or the
 built-in TF-IDF rows. Both return the TopicDistribution over the
 contributing posts, each topic's top terms (empty for a supplied matrix),
-an array of each contributing post's hard topic, and each row's position
-in the kept posts, by which the run reads polarities, weights and documents.
+each row's hard topic and its position in the kept posts. For either
+source the stage then refuses a topic whose cells times the post weights
+are all zero, which would leave the fuzzy stage no total weight.
 """
 
 from __future__ import annotations
@@ -196,17 +197,17 @@ def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
     """Read a supplied topic-distribution matrix.
 
     CSV with a header row: first column ``post_id``, remaining columns one
-    per topic. Every row must be a probability vector: non-negative, with
-    numpy's pairwise total within 1e-9 of 1, the rule TopicDistribution
-    applies. A plain file (no quote, one cell per column on every line) is
-    read once, as a stream: ``np.loadtxt`` parses its lines as they are
+    per topic; a UTF-8 byte-order mark is skipped. Each row must pass the
+    one row rule, :func:`topics.improper_row`; the first that fails is named
+    by its line. A plain file (no quote, one cell per column on every line)
+    is read once, as a stream: ``np.loadtxt`` parses its lines as they are
     checked, into the one array the distribution keeps. Any doubt sends the
     same handle back to the start, to a per-row loop which alone raises; a
     doubtful file that cannot seek, such as a named pipe, is an error.
     """
     path = Path(path)
     ids: list[str] = []
-    with open(path, encoding="utf-8", newline="") as fh:  # CR, LF and CRLF end a line
+    with open(path, encoding="utf-8-sig", newline="") as fh:  # CR, LF and CRLF end a line
         # Bad UTF-8, a cell loadtxt refuses, a row TopicDistribution refuses: the row loop decides.
         with suppress(ValueError), np.errstate(all="ignore"):
             header = fh.readline()
@@ -255,10 +256,8 @@ def _dist_matrix_rows(fh) -> topics_mod.TopicDistribution:
     path = fh.name
     reader = csv.reader(corpus_mod.utf8_lines(fh, ValueError))
     try:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty distribution matrix") from None
+        if (header := next(reader, None)) is None:
+            raise ValueError(f"{path}: empty distribution matrix")
         if not header or header[0].strip() != "post_id":
             raise ValueError(f"{path}: first column must be named 'post_id'")
         k = len(header) - 1
@@ -284,16 +283,8 @@ def _dist_matrix_rows(fh) -> topics_mod.TopicDistribution:
                 values = np.array([float(cell) for cell in row[1:]])
             except ValueError:
                 raise ValueError(f"{path}, line {lineno}: non-numeric probability") from None
-            if (values < 0).any():
-                raise ValueError(f"{path}, line {lineno}: negative probability")
-            with np.errstate(over="ignore"):
-                total = float(values.sum())  # TopicDistribution's pairwise total
-            if not math.isfinite(total):  # a NaN or inf cell
-                raise ValueError(f"{path}, line {lineno}: non-finite probability")
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(
-                    f"{path}, line {lineno}: probabilities sum to {total!r}, expected 1"
-                )
+            if fault := topics_mod.improper_row(values[None]):
+                raise ValueError(f"{path}, line {lineno}: {fault[1]}")
             ids.append(post_id)
             rows.append(values)
     except csv.Error as exc:  # a field over csv.field_size_limit()
@@ -326,7 +317,7 @@ def _keep_live(supplied, source: str, posts, docs, live):
     return kept, [position[pid] for pid in kept.post_ids]
 
 
-def _supplied_topics(config: RunConfig, posts, docs, live, weight):
+def _supplied_topics(config: RunConfig, posts, docs, live):
     """Fixture-mode topics: the live rows of a supplied distribution matrix."""
     full_dist = load_dist_matrix(config.dist_matrix_path)
     if config.n_topics is not None and config.n_topics != full_dist.k:
@@ -335,16 +326,10 @@ def _supplied_topics(config: RunConfig, posts, docs, live, weight):
             f"supplied matrix ({full_dist.k} columns)"
         )
     dist, rows = _keep_live(full_dist, "distribution matrix", posts, docs, live)
-    # Each topic's total weight in the fuzzy stage, zero iff every cell x weight is; no n x k array.
-    if not (live_mass := weight[rows] @ dist.matrix).all():
-        topic = int(live_mass.argmin())  # the first massless topic; post_id is column 1
-        where = f"{config.dist_matrix_path}: topic {topic} (column {topic + 2})"
-        weighted = " times the post weights" if dist.matrix[:, topic].any() else ""
-        raise ValueError(f"{where}{weighted} is zero on all {len(rows)} rows of live posts")
     return dist, [[] for _ in range(dist.k)], dist.matrix.argmax(axis=1), rows
 
 
-def _clustered_topics(config: RunConfig, posts, docs, live, weight):
+def _clustered_topics(config: RunConfig, posts, docs, live):
     """Topics from k-means over supplied vectors or the built-in TF-IDF rows."""
     if config.vectors_path is None:
         vectors, rows = topics_mod.vectorize([docs[i] for i in live]), live
@@ -394,13 +379,22 @@ def run_pipeline(config: RunConfig) -> RunResult:
         if not live:
             raise ValueError("no documents left for topic modeling")
         source = _clustered_topics if config.dist_matrix_path is None else _supplied_topics
-        dist, top_terms, hard, rows = source(config, posts, docs, live, weight)
+        dist, top_terms, hard, rows = source(config, posts, docs, live)
         doc_counts = np.bincount(hard, minlength=dist.k).tolist()
+        post_weights = weight[rows]
+        with np.errstate(over="ignore"):  # an infinite total is the fuzzy stage's to refuse
+            mass = post_weights @ dist.matrix  # each topic's total weight in the fuzzy stage
+        if not mass.all():  # zero iff every cell x weight is; no n x k array is made
+            topic = int(mass.argmin())
+            where = f"topic {topic}"
+            if config.dist_matrix_path is not None:  # post_id is column 1
+                where = f"{config.dist_matrix_path}: {where} (column {topic + 2})"
+            weighted = " times the post weights" if dist.column(topic).any() else ""
+            raise ValueError(f"{where}{weighted} is zero on all {len(rows)} rows of live posts")
 
     with _stage("fuzzy"):
         prevalence = topics_mod.topic_prevalence(dist)
         polarities = polarity[rows]
-        post_weights = weight[rows]
         reports = []
         for kk in range(dist.k):
             try:
@@ -409,17 +403,11 @@ def run_pipeline(config: RunConfig) -> RunResult:
                 )
             except ValueError as exc:
                 raise ValueError(f"topic {kk}: {exc}") from exc
-            reports.append(
-                TopicReport(
-                    topic_id=kk,
-                    top_terms=list(top_terms[kk]),
-                    prevalence=float(prevalence[kk]),
-                    tfn=tfn,
-                    positivity=conf.positivity,
-                    negativity=conf.negativity,
-                    doc_count=doc_counts[kk],
-                )
-            )
+            reports.append(TopicReport(
+                topic_id=kk, top_terms=list(top_terms[kk]), prevalence=float(prevalence[kk]),
+                tfn=tfn, positivity=conf.positivity, negativity=conf.negativity,
+                doc_count=doc_counts[kk],
+            ))
         reports.sort(key=lambda r: (-r.prevalence, r.topic_id))
 
     supplied = sum(p.polarity is not None for p in kept)

@@ -37,12 +37,24 @@ class LexiconError(ValueError):
     """Raised for malformed lexicon files."""
 
 
+def _bad_polarity(value: float) -> str:
+    return "" if -1.0 <= value <= 1.0 else f"polarity {value} outside [-1, 1]"
+
+
+def _bad_multiplier(value: float) -> str:
+    return "" if 0 < value < math.inf else f"multiplier must be finite and > 0, got {value}"
+
+
+# Each numeric section's name for a word and its one rule: why a value breaks it, else "".
+_NUMBERS = {"entries": ("entry", _bad_polarity), "intensifiers": ("intensifier", _bad_multiplier)}
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Word polarities plus negator and intensifier word lists.
 
-    The three key sets must be pairwise disjoint: a word is either scored,
-    a negation marker, or an intensity multiplier, never two of those.
+    A polarity lies in [-1, 1], a multiplier is finite and > 0, and the three key sets are
+    disjoint. A bad number's error names its word: ``entry 'x': polarity 1.5 outside [-1, 1]``.
     """
 
     entries: Mapping[str, float]
@@ -53,14 +65,10 @@ class Lexicon:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         object.__setattr__(self, "negators", frozenset(self.negators))
         object.__setattr__(self, "intensifiers", MappingProxyType(dict(self.intensifiers)))
-        for word, pol in self.entries.items():
-            if not -1.0 <= pol <= 1.0:
-                raise LexiconError(f"entry {word!r}: polarity {pol} outside [-1, 1]")
-        for word, mult in self.intensifiers.items():
-            if not 0 < mult < math.inf:
-                raise LexiconError(
-                    f"intensifier {word!r}: multiplier must be finite and > 0, got {mult}"
-                )
+        for section, (label, fault) in _NUMBERS.items():
+            for word, value in getattr(self, section).items():
+                if reason := fault(value):
+                    raise LexiconError(f"{label} {word!r}: {reason}")
         keys = set(self.entries)
         if keys & self.negators or keys & set(self.intensifiers) or self.negators & set(self.intensifiers):
             raise LexiconError("entries, negators and intensifiers must not share words")
@@ -85,18 +93,17 @@ def load_lexicon(path: str | Path) -> Lexicon:
     Format: one ``word<TAB>polarity`` pair per line; a ``[negators]``
     section lists one word per line; an ``[intensifiers]`` section lists
     ``word<TAB>multiplier`` pairs. Blank lines and '#' comments are
-    ignored. Duplicate words and out-of-range polarities are errors.
+    ignored. A duplicate word is an error, and so is a number that breaks
+    Lexicon's rule for its section, whose reason follows ``{path}, line N: ``.
     """
-    entries: dict[str, float] = {}
-    negators: set[str] = set()
-    intensifiers: dict[str, float] = {}
+    words: dict[str, dict] = {"entries": {}, "negators": {}, "intensifiers": {}}
     seen: dict[str, int] = {}
     section = "entries"
 
     for lineno, line in content_lines(path, LexiconError):
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in ("entries", "negators", "intensifiers"):
+            if name not in words:
                 raise LexiconError(f"{path}, line {lineno}: unknown section [{name}]")
             section = name
             continue
@@ -114,7 +121,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
         if section == "negators":
             if len(parts) != 1:
                 raise LexiconError(f"{path}, line {lineno}: negator lines carry a single word")
-            negators.add(word)
+            words[section][word] = None
             continue
 
         if len(parts) != 2:
@@ -124,18 +131,11 @@ def load_lexicon(path: str | Path) -> Lexicon:
         except ValueError:
             raise LexiconError(f"{path}, line {lineno}: not a number: {parts[1]!r}") from None
 
-        if section == "entries":
-            if not -1.0 <= number <= 1.0:
-                raise LexiconError(
-                    f"{path}, line {lineno}: polarity {number} outside [-1, 1]"
-                )
-            entries[word] = number
-        else:
-            if not 0 < number < math.inf:
-                raise LexiconError(f"{path}, line {lineno}: multiplier must be finite and > 0")
-            intensifiers[word] = number
+        if reason := _NUMBERS[section][1](number):
+            raise LexiconError(f"{path}, line {lineno}: {reason}")
+        words[section][word] = number
 
-    return Lexicon(entries=entries, negators=frozenset(negators), intensifiers=intensifiers)
+    return Lexicon(words["entries"], frozenset(words["negators"]), words["intensifiers"])
 
 
 def default_lexicon() -> Lexicon:

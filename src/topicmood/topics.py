@@ -160,9 +160,28 @@ class TopicModel:
     sims: np.ndarray | None = field(default=None, repr=False)
 
 
+def improper_row(matrix: np.ndarray) -> tuple[int, str] | None:
+    """The first row of the 2-D ``matrix`` that is not a probability vector, and why; else None.
+
+    A negative cell in any row comes first, then a total (numpy's pairwise sum) that is
+    non-finite or more than 1e-9 from 1. No n x k temporary is made.
+    """
+    if np.fmin.reduce(matrix, axis=None, initial=0.0) < 0:  # skips NaN: the totals catch it
+        return int(np.argmax(np.fmin.reduce(matrix, axis=1) < 0)), "negative probability"
+    with np.errstate(over="ignore"):
+        totals = matrix.sum(axis=1)
+    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-9))  # a NaN total fails too
+    if not bad.size:
+        return None
+    total = float(totals[bad[0]])
+    if not math.isfinite(total):
+        return int(bad[0]), "non-finite probability"
+    return int(bad[0]), f"probabilities sum to {total!r}, expected 1"
+
+
 @dataclass(frozen=True)
 class TopicDistribution:
-    """Row-stochastic document-topic membership matrix."""
+    """Row-stochastic document-topic matrix; ``row for post '<id>': <reason>`` names a bad row."""
 
     post_ids: tuple[str, ...]
     matrix: np.ndarray  # shape (len(post_ids), k)
@@ -173,18 +192,9 @@ class TopicDistribution:
         if mat.ndim != 2:
             raise ValueError("matrix must be two-dimensional")
         if mat.shape[0] != len(self.post_ids):
-            raise ValueError(
-                f"matrix has {mat.shape[0]} rows but {len(self.post_ids)} post ids"
-            )
-        if np.fmin.reduce(mat, axis=None, initial=0.0) < 0:  # skips NaN: the sums catch it
-            raise ValueError("matrix entries must be non-negative")
-        sums = mat.sum(axis=1)
-        bad = np.nonzero(~(np.abs(sums - 1.0) <= 1e-9))[0]  # a NaN sum fails too
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(
-                f"row for post {self.post_ids[i]!r} sums to {float(sums[i])!r}, expected 1"
-            )
+            raise ValueError(f"matrix has {mat.shape[0]} rows but {len(self.post_ids)} post ids")
+        if fault := improper_row(mat):
+            raise ValueError(f"row for post {self.post_ids[fault[0]]!r}: {fault[1]}")
 
     @property
     def k(self) -> int:

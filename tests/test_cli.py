@@ -16,10 +16,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topicmood.cli import _build_config, build_parser, main
-from topicmood.pipeline import RunConfig, _parse_bool, _parse_topic_list
+from topicmood.corpus import load_posts, load_stopwords
+from topicmood.pipeline import RunConfig, _parse_bool, _parse_topic_list, load_dist_matrix
+from topicmood.sentiment import load_lexicon
+from topicmood.topics import load_vectors
 
 from fuzzfiles import dist_matrix_bytes, vectors_jsonl_bytes
 from synthdata import many_group_records, three_group_records, write_jsonl, write_table_fixture
+
+
+# The posts of the README quick start.
+QUICK_START_POSTS = [
+    {"id": "t1", "text": "The new tram line is fantastic, commuting downtown is so much faster "
+     "now for everyone"},
+    {"id": "t2", "text": "Another delay on the tram line this morning, the timetable is broken "
+     "and nobody cares"},
+    {"id": "t3", "text": "Love the renovated central park, the playground is clean and the "
+     "gardens look beautiful"},
+    {"id": "t4", "text": "The park near the station is dirty and feels unsafe after dark, "
+     "terrible maintenance"},
+    {"id": "t5", "text": "Rents keep climbing while apartment quality gets worse, housing policy "
+     "here is a failure"},
+    {"id": "t6", "text": "Glad the city approved new affordable housing blocks, a good step for "
+     "young tenants"},
+]
 
 
 @pytest.fixture()
@@ -122,6 +142,22 @@ class TestRunCommand:
         assert capsys.readouterr().err == (
             f"error: [topics] {matrix_path}: topic 1 (column 3) "
             "is zero on all 3 rows of live posts\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_clustered_topic_without_weighted_mass_fails_in_topics_stage(self, tmp_path, capsys):
+        # At this temperature every membership is near 1/3, and 5e-324 / 3 rounds to zero.
+        records = [{**post, "weight": 5e-324} for post in QUICK_START_POSTS]
+        posts_path = write_jsonl(tmp_path / "posts.jsonl", records)
+        code = main(
+            [
+                "run", "--input", str(posts_path), "--topics", "3", "--min-chars", "40",
+                "--seed", "7", "--temperature", "100", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: [topics] topic 0 times the post weights is zero on all 6 rows of live posts\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -427,6 +463,43 @@ def src_env(**extra):
     src = Path(__file__).resolve().parents[1] / "src"
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+def _rows(load):
+    """``load`` with its matrix's ids and rows as the result."""
+    def rows(path):
+        loaded = load(path)
+        return loaded.post_ids, loaded.matrix.tolist()
+    return rows
+
+
+# Each kind of text input: a file name, its plain UTF-8 text and a loader
+# whose result compares by value.
+_TEXT_INPUTS = {
+    "posts-jsonl": ("p.jsonl", '{"id": "a", "text": "fantastic", "weight": 2}\n', load_posts),
+    "posts-csv": ("p.csv", "id,text,polarity\na,fantastic,0.5\n", lambda p: load_posts(p, "csv")),
+    "lexicon": ("lex.txt", "fantastic\t0.9\n[intensifiers]\nvery\t1.5\n", load_lexicon),
+    "stopwords": ("stop.txt", "the\nand\n", load_stopwords),
+    "config": (
+        "run.cfg", "topics = 3\ninput = p.jsonl\n",
+        lambda p: _build_config(build_parser().parse_args(["run", "--config", str(p)])),
+    ),
+    "dist-matrix": ("m.csv", "post_id,t0,t1\na,0.25,0.75\n", _rows(load_dist_matrix)),
+    "dist-matrix-row-loop": ("m.csv", 'post_id,t0,t1\n"a",0.25,0.75\n', _rows(load_dist_matrix)),
+    "vectors": ("v.jsonl", '{"id": "a", "vector": [3, 4]}\n', _rows(load_vectors)),
+}
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("kind", list(_TEXT_INPUTS))
+    def test_copy_with_bom_loads_as_the_plain_file(self, tmp_path, kind):
+        # Excel and Notepad save UTF-8 with a leading byte-order mark (EF BB BF).
+        name, text, load = _TEXT_INPUTS[kind]
+        plain, marked = tmp_path / "plain" / name, tmp_path / "bom" / name
+        for path, prefix in ((plain, b""), (marked, b"\xef\xbb\xbf")):
+            path.parent.mkdir()
+            path.write_bytes(prefix + text.encode("utf-8"))
+        assert load(marked) == load(plain)
 
 
 class TestModuleInvocation:

@@ -311,6 +311,28 @@ class TestLoadDistMatrix:
             with pytest.raises(ValueError, match=pattern):
                 load(path)
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.one_of(
+            st.lists(st.floats(), min_size=1, max_size=6),
+            st.lists(st.floats(0, 1), min_size=1, max_size=6)
+            .filter(lambda row: sum(row) > 0)
+            .map(lambda row: [x / sum(row) for x in row]),
+        )
+    )
+    def test_reader_refuses_what_topic_distribution_refuses(self, tmp_path_factory, row):
+        # One row rule: a single-row file and the TopicDistribution of the same
+        # cells are accepted alike, or refused for the same reason.
+        path = tmp_path_factory.getbasetemp() / "one-row.csv"
+        header = "post_id" + "".join(f",t{j}" for j in range(len(row)))
+        path.write_text(f"{header}\np,{','.join(map(repr, row))}\n", encoding="utf-8")
+        direct = dist_outcome(lambda _: topics_mod.TopicDistribution(("p",), np.array([row])), path)
+        read = dist_outcome(load_dist_matrix, path)
+        if direct[0] is ValueError:
+            assert read == (ValueError, direct[1].replace("row for post 'p'", f"{path}, line 2"))
+        else:
+            assert read == direct
+
     @settings(deadline=None, max_examples=300)
     @given(dist_matrix_bytes())
     def test_bulk_path_agrees_with_row_loop(self, tmp_path_factory, data):
@@ -373,8 +395,8 @@ class TestLoadDistMatrix:
 
 
 def read_rows(path):
-    """The per-row reader alone, on a file of its own."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    """The per-row reader alone, on a file opened as load_dist_matrix opens it."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         return pipeline._dist_matrix_rows(fh)
 
 

@@ -1,6 +1,7 @@
 """Tests for lexicon parsing and polarity scoring."""
 
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,34 @@ class TestLoadLexicon:
         assert lex.entries["good"] == 0.7
         assert "not" in lex.negators
         assert lex.intensifiers["very"] == 1.5
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.sampled_from([("entries", "entry"), ("intensifiers", "intensifier")]),
+        st.lists(st.one_of(st.floats(-1.5, 1.5), st.floats()), max_size=6),
+    )
+    def test_reader_refuses_what_lexicon_refuses(self, tmp_path_factory, section, numbers):
+        # A file with one numeric section and the Lexicon of the same words are
+        # refused alike: the same first word, for the same reason.
+        name, label = section
+        words = {f"w{i}": x for i, x in enumerate(numbers)}
+        path = tmp_path_factory.getbasetemp() / "one-section.txt"
+        lines = [f"[{name}]", *(f"{word}\t{x!r}" for word, x in words.items())]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outcomes = []
+        for build in (lambda: Lexicon(**{"entries": {}, name: words}), lambda: load_lexicon(path)):
+            try:
+                build()
+            except LexiconError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append(None)
+        direct, read = outcomes
+        if direct is None:
+            assert read is None
+        else:
+            word, reason = re.fullmatch(rf"{label} '(w\d+)': (.*)", direct).groups()
+            assert read == f"{path}, line {int(word[1:]) + 2}: {reason}"  # line 1 is the header
 
     @settings(deadline=None, max_examples=200)
     @given(lexicon_bytes())

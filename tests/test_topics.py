@@ -705,20 +705,22 @@ class TestSoftAssignProperties:
 
 class TestTopicDistribution:
     def test_row_sum_validation(self):
-        with pytest.raises(ValueError, match="sums to"):
+        with pytest.raises(ValueError, match=r"^row for post 'a': probabilities sum to 0\.9, "):
             TopicDistribution(("a",), np.array([[0.5, 0.4]]))
 
-    @pytest.mark.parametrize("row", [[np.nan, 1.0], [np.inf, 0.0]], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "row", [[np.nan, 1.0], [np.inf, 0.0], [1e308, 1e308]], ids=["nan", "inf", "overflow"]
+    )
     def test_non_finite_row_rejected(self, row):
-        with pytest.raises(ValueError, match=r"sums to (nan|inf), expected 1"):
+        with pytest.raises(ValueError, match=r"^row for post 'a': non-finite probability$"):
             TopicDistribution(("a",), np.array([row]))
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=r"^row for post 'a': negative probability$"):
             TopicDistribution(("a",), np.array([[1.5, -0.5]]))
 
     def test_negative_cell_beside_nan_is_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=r"^row for post 'b': negative probability$"):
             TopicDistribution(("a", "b"), np.array([[np.nan, 1.0], [1.5, -0.5]]))
 
     def test_negative_zero_accepted(self):
