@@ -37,7 +37,7 @@ class CorpusError(ValueError):
     """Raised for unreadable or malformed corpus input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Post:
     """One raw ingested record.
 
@@ -64,7 +64,7 @@ class Post:
             object.__setattr__(self, "polarity", float(self.polarity))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CleanDoc:
     """Preprocessed document: ordered lowercase letter-only tokens."""
 
@@ -237,19 +237,21 @@ def filter_short(posts: list[Post], min_chars: int = 60) -> list[Post]:
     return [p for p in posts if len(p.text) >= min_chars]
 
 
-def preprocess(post: Post, stopwords: set[str] | frozenset[str]) -> CleanDoc:
+def preprocess(post: Post, stopwords: set[str] | frozenset[str], vocab=None) -> CleanDoc:
     """Reduce a post's text to a CleanDoc token list.
 
     Applies, in order: URL removal (whitespace-delimited chunks starting
     with http://, https:// or www.), removal of whole hashtag (#...) and
     username (@...) tokens, replacement of every non-letter character with
     a space, lowercasing, whitespace tokenization, and stopword removal.
-    A post may legitimately reduce to zero tokens.
+    A post may legitimately reduce to zero tokens. With ``vocab``, one dict
+    per run, each token is ``vocab.setdefault(tok, tok)``: held once per run.
     """
     kept = [chunk for chunk in post.text.split() if not chunk.startswith(_DROPPED_PREFIXES)]
     text = _NON_LETTER_RE.sub(" ", " ".join(kept)).lower()
-    tokens = tuple(tok for tok in text.split() if tok not in stopwords)
-    return CleanDoc(post_id=post.id, tokens=tokens)
+    tokens = [tok for tok in text.split() if tok not in stopwords]
+    shared = tokens if vocab is None else map(vocab.setdefault, tokens, tokens)
+    return CleanDoc(post_id=post.id, tokens=tuple(shared))
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:

@@ -25,6 +25,7 @@ __all__ = [
     "ConformityTuple",
     "weighted_mean",
     "weighted_std",
+    "check_scale",
     "build_tfn",
     "tfn_membership",
     "possibility",
@@ -167,6 +168,12 @@ def weighted_std(sample: WeightedSample) -> float:
     return math.sqrt(num / den)
 
 
+def check_scale(scale: float) -> None:
+    """Raise ValueError unless the TFN support scaling constant ``scale`` is finite and > 0."""
+    if not 0 < scale < math.inf:  # NaN fails too
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
+
+
 def build_tfn(core: float, sigma: float, scale: float = 1.0) -> TFN:
     """Symmetric TFN around ``core`` with support half-width scale * sigma.
 
@@ -176,8 +183,7 @@ def build_tfn(core: float, sigma: float, scale: float = 1.0) -> TFN:
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    if not 0 < scale < math.inf:  # NaN fails too
-        raise ValueError("scale must be finite and positive")
+    check_scale(scale)
     half = scale * sigma
     return TFN(core - half, core, core + half)
 

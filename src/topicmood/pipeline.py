@@ -12,14 +12,13 @@ built-in TF-IDF rows. Both return the TopicDistribution over the
 contributing posts, each topic's top terms (empty for a supplied matrix),
 each row's hard topic and its position in the kept posts. For either
 source the stage then refuses a topic whose cells times the post weights
-are all zero, which would leave the fuzzy stage no total weight.
+are all zero or sum past the float range: no finite positive total weight.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -32,7 +31,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import sentiment as sentiment_mod
 from . import topics as topics_mod
-from .fuzzy import TFN, aggregate_topic
+from .fuzzy import TFN, aggregate_topic, check_scale
 from .svgplot import emit_tfn_svg
 
 __all__ = [
@@ -127,10 +126,7 @@ class RunConfig:
     temperature: float = _setting(
         "temperature", "soft assignment temperature", float, 0.25, topics_mod.check_temperature
     )
-    scale: float = _setting(
-        "scale", "TFN support scaling constant", float, 1.0,
-        _require(lambda x: 0 < x < math.inf, "scale must be finite and > 0, got {}"),
-    )
+    scale: float = _setting("scale", "TFN support scaling constant", float, 1.0, check_scale)
     ramp: float = _setting(
         "ramp", "opinion concept ramp endpoint", float, 0.2,
         _require(lambda r: 0 < r <= 1, "ramp must lie in (0, 1]"),
@@ -332,14 +328,16 @@ def _supplied_topics(config: RunConfig, posts, docs, live):
 def _clustered_topics(config: RunConfig, posts, docs, live):
     """Topics from k-means over supplied vectors or the built-in TF-IDF rows."""
     if config.vectors_path is None:
-        vectors, rows = topics_mod.vectorize([docs[i] for i in live]), live
+        row_docs = [docs[i] for i in live]
+        counts = topics_mod._term_counts(row_docs)  # one count for TF-IDF and the top terms
+        vectors, rows = topics_mod.vectorize(row_docs, counts), live
     else:
         vectors, rows = _keep_live(
             topics_mod.load_vectors(config.vectors_path), "vectors file", posts, docs, live
         )
+        row_docs, counts = [docs[i] for i in rows], None
     model = topics_mod.cluster(vectors, config.n_topics, config.seed)
-    row_docs = [docs[i] for i in rows]
-    top_terms = topics_mod.ctfidf_top_terms(row_docs, model.labels, model.k, config.n_terms)
+    top_terms = topics_mod.ctfidf_top_terms(row_docs, model.labels, model.k, config.n_terms, counts)
     dist = topics_mod.soft_assign(vectors, model, config.temperature)
     return dist, top_terms, model.labels, rows
 
@@ -362,7 +360,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
             stopwords = corpus_mod.load_stopwords(config.stopwords_path)
         else:
             stopwords = corpus_mod.default_stopwords()
-        docs = [corpus_mod.preprocess(p, stopwords) for p in kept]
+        vocab: dict[str, str] = {}  # each distinct token held once in the run
+        docs = [corpus_mod.preprocess(p, stopwords, vocab) for p in kept]
         weight = np.array([p.weight for p in kept])
 
     live = [i for i, d in enumerate(docs) if not d.is_empty]
@@ -382,15 +381,17 @@ def run_pipeline(config: RunConfig) -> RunResult:
         dist, top_terms, hard, rows = source(config, posts, docs, live)
         doc_counts = np.bincount(hard, minlength=dist.k).tolist()
         post_weights = weight[rows]
-        with np.errstate(over="ignore"):  # an infinite total is the fuzzy stage's to refuse
+        with np.errstate(over="ignore"):
             mass = post_weights @ dist.matrix  # each topic's total weight in the fuzzy stage
-        if not mass.all():  # zero iff every cell x weight is; no n x k array is made
-            topic = int(mass.argmin())
+        fault = (mass == 0) | (mass == np.inf)  # zero iff every cell x weight is; no n x k array
+        if fault.any():
+            topic = int(fault.argmax())
             where = f"topic {topic}"
             if config.dist_matrix_path is not None:  # post_id is column 1
                 where = f"{config.dist_matrix_path}: {where} (column {topic + 2})"
             weighted = " times the post weights" if dist.column(topic).any() else ""
-            raise ValueError(f"{where}{weighted} is zero on all {len(rows)} rows of live posts")
+            total = "sums past the float range over" if mass[topic] else "is zero on all"
+            raise ValueError(f"{where}{weighted} {total} {len(rows)} rows of live posts")
 
     with _stage("fuzzy"):
         prevalence = topics_mod.topic_prevalence(dist)

@@ -222,7 +222,7 @@ def _term_counts(docs: Sequence[CleanDoc]):
     return terms, rows, cols, counts
 
 
-def vectorize(docs: Sequence[CleanDoc]) -> DocMatrix:
+def vectorize(docs: Sequence[CleanDoc], term_counts=None) -> DocMatrix:
     """L2-normalized smoothed TF-IDF rows over the sorted corpus vocabulary.
 
     Weight of term t in a document is tf * (log((1 + D) / (1 + df)) + 1)
@@ -230,21 +230,22 @@ def vectorize(docs: Sequence[CleanDoc]) -> DocMatrix:
     t. The rows are sparse (CSR, columns sorted within a row). Empty
     documents are excluded from the output (callers detect them by
     comparing lengths). Raises ValueError when every document is empty.
+    ``term_counts``, if given, is ``_term_counts`` of the non-empty documents.
     """
     non_empty = [d for d in docs if d.tokens]
     if not non_empty:
         raise ValueError("all documents are empty after preprocessing")
 
     n_docs = len(non_empty)
-    terms, row_of, indices, tf = _term_counts(non_empty)
+    terms, row_of, indices, tf = term_counts or _term_counts(non_empty)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n_docs))))
     df = np.bincount(indices, minlength=len(terms)).tolist()
     idf = np.array([math.log((1 + n_docs) / (1 + c)) + 1.0 for c in df])
 
     raw = tf * idf[indices]
-    squares = (raw * raw).tolist()
+    squares, bounds = raw * raw, indptr.tolist()
     # Each row over its exactly rounded (fsum) norm.
-    norms = np.sqrt([math.fsum(squares[a:b]) for a, b in zip(indptr[:-1], indptr[1:])])
+    norms = np.sqrt([math.fsum(squares[a:b].tolist()) for a, b in zip(bounds, bounds[1:])])
     post_ids = tuple(d.post_id for d in non_empty)
     return DocMatrix(post_ids, terms, csr=(indptr, indices, raw / norms[row_of]))
 
@@ -398,12 +399,12 @@ def ctfidf_weight(tf_tc: float, tf_t: float, avg_words: float) -> float:
 
 
 def ctfidf_top_terms(
-    docs: Sequence[CleanDoc], labels: np.ndarray, k: int, n_terms: int = 7
+    docs: Sequence[CleanDoc], labels: np.ndarray, k: int, n_terms: int = 7, term_counts=None
 ) -> list[list[tuple[str, float]]]:
     """Top class-based TF-IDF terms per cluster, ties broken alphabetically.
 
-    ``labels[i]`` in [0, k) is the cluster of ``docs[i]``. The term counts
-    come from one count over (cluster, term) pairs.
+    ``labels[i]`` in [0, k) is the cluster of ``docs[i]``. The top terms come from one
+    count over (cluster, term) pairs of ``term_counts``, else of ``_term_counts(docs)``.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -414,7 +415,7 @@ def ctfidf_top_terms(
     if not (in_range and np.bincount(labels, minlength=k).all()):
         raise ValueError(f"labels must lie in [0, {k}), and every cluster needs a document")
 
-    terms, rows, cols, counts = _term_counts(docs)
+    terms, rows, cols, counts = term_counts or _term_counts(docs)
     cells, cell_of = np.unique(labels[rows] * len(terms) + cols, return_inverse=True)
     cell_cluster, cell_term = np.divmod(cells, len(terms))
     in_cluster = np.bincount(cell_of, weights=counts).astype(np.int64).tolist()

@@ -161,6 +161,26 @@ class TestRunCommand:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_clustered_topic_whose_weighted_total_overflows_fails_in_topics_stage(
+        self, tmp_path, capsys
+    ):
+        # Six posts of weight 1e308 at memberships near 1/3 sum past the float range; the
+        # topics stage refuses that before the fuzzy stage's sum can overflow and warn.
+        records = [{**post, "weight": 1e308} for post in QUICK_START_POSTS]
+        posts_path = write_jsonl(tmp_path / "posts.jsonl", records)
+        code = main(
+            [
+                "run", "--input", str(posts_path), "--topics", "3", "--min-chars", "40",
+                "--seed", "7", "--temperature", "100", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: [topics] topic 0 times the post weights sums past the float range "
+            "over 6 rows of live posts\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_fails_with_stage_tag(self, tmp_path, capsys):
         code = main(["run", "--input", str(tmp_path / "nope.jsonl"), "--topics", "2"])
         assert code == 1

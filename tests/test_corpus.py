@@ -8,6 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from topicmood.corpus import (
     CleanDoc,
@@ -342,6 +343,17 @@ class TestPreprocess:
     def test_token_order_preserved(self):
         doc = preprocess(Post("t", "zebra yak xylophone walrus"), set())
         assert list(doc.tokens) == ["zebra", "yak", "xylophone", "walrus"]
+
+    @given(st.lists(st.text() | st.text("abAB \u0130\u00e9#@_1.,"), max_size=6))
+    @example(["tram line tram", "the TRAM, the line"])
+    def test_shared_vocabulary_keeps_tokens(self, texts):
+        # One dict across posts, as a run passes it: the two-argument tokens, each
+        # the object the dict holds, so equal tokens are one object.
+        vocab = {}
+        shared = [preprocess(Post("t", text), STOPWORDS, vocab).tokens for text in texts]
+        assert shared == [preprocess(Post("t", text), STOPWORDS).tokens for text in texts]
+        assert all(vocab[token] is token for tokens in shared for token in tokens)
+        assert set(vocab) == {token for tokens in shared for token in tokens}
 
 
 class TestStopwordFiles:

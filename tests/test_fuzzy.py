@@ -155,9 +155,9 @@ class TestBuildTfn:
     @pytest.mark.parametrize("scale", [math.nan, math.inf])
     def test_non_finite_scale_rejected(self, scale):
         # An infinite scale would make a TFN of infinite support and NaN conformity.
-        with pytest.raises(ValueError, match="scale must be finite and positive"):
+        with pytest.raises(ValueError, match="scale must be finite and > 0, got "):
             build_tfn(0.0, 0.1, scale)
-        with pytest.raises(ValueError, match="scale must be finite and positive"):
+        with pytest.raises(ValueError, match="scale must be finite and > 0, got "):
             aggregate_topic([0.5, -0.5, 0.1], [1, 1, 1], scale=scale)
 
     def test_tfn_ordering_enforced(self):

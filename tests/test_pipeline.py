@@ -123,6 +123,22 @@ class TestFixtureMode:
             run_pipeline(cfg)
         assert err.value.stage == "topics"
 
+    def test_overflowing_weight_topic_names_topic(self, tmp_path):
+        # Topic 0 holds two posts of weight 1e308 in full: its total passes the float range.
+        posts_path, _ = write_table_fixture(tmp_path)
+        records = [json.loads(line) for line in posts_path.read_text("utf-8").splitlines()]
+        posts_path = write_jsonl(
+            tmp_path / "heavy.jsonl", [{**record, "weight": 1e308} for record in records]
+        )
+        matrix_path = tmp_path / "heavy.csv"
+        matrix_path.write_text("post_id,t0,t1\np1,0,1\np2,1,0\np3,1,0\n", encoding="utf-8")
+        with pytest.raises(StageError) as err:
+            run_pipeline(fixture_config(posts_path, matrix_path))
+        assert str(err.value) == (
+            f"[topics] {matrix_path}: topic 0 (column 2) times the post weights "
+            "sums past the float range over 3 rows of live posts"
+        )
+
     def test_zero_weight_topic_names_topic(self, tmp_path):
         # Topic 1's only mass, the smallest subnormal, times p2's weight rounds to 0: the
         # column has live mass, but no weight for the fuzzy stage, so the topics stage refuses it.
@@ -568,6 +584,30 @@ class TestStandardMode:
         cfg = RunConfig(input_path=posts_path, n_topics=2, seed=0, vectors_path=vec_path)
         result = run_pipeline(cfg)
         assert sorted(r.doc_count for r in result.reports) == [3, 3]
+
+    @pytest.mark.parametrize("source", ["tfidf", "vectors"])
+    def test_term_counts_taken_once_over_shared_tokens(self, tmp_path, monkeypatch, source):
+        records = three_group_records(n_per_group=6)
+        cfg = RunConfig(input_path=write_jsonl(tmp_path / "posts.jsonl", records), n_topics=3)
+        if source == "vectors":
+            cfg.vectors_path = tmp_path / "vectors.jsonl"
+            lines = [json.dumps({"id": r["id"], "vector": [1.0, i % 3, i % 5]}) for i, r in
+                     enumerate(records)]
+            cfg.vectors_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        calls = []
+        count = topics_mod._term_counts
+
+        def counted(docs):
+            calls.append(docs)
+            return count(docs)
+
+        monkeypatch.setattr(topics_mod, "_term_counts", counted)
+        run_pipeline(cfg)
+        assert len(calls) == 1
+        tokens = [token for doc in calls[0] for token in doc.tokens]
+        objects = {}  # each token's value -> the first object seen with it
+        assert all(objects.setdefault(token, token) is token for token in tokens)
+        assert len(objects) < len(tokens)  # some token recurs
 
     def test_missing_vector_counts_as_excluded(self, tmp_path):
         records = [

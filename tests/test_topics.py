@@ -86,6 +86,20 @@ class TestVectorize:
             assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-9)
             assert all(w >= 0 for w in row)
 
+    @pytest.mark.parametrize("n_docs,n_groups", [(16, 2), (600, 42)])
+    def test_shared_term_counts_give_same_bits(self, n_docs, n_groups):
+        # The counts a run takes once serve TF-IDF and c-TF-IDF as each would count them.
+        docs = synth_docs(n_docs, n_groups)
+        counts = topics._term_counts(docs)
+        alone, shared = vectorize(docs), vectorize(docs, counts)
+        assert alone.terms == shared.terms and alone.post_ids == shared.post_ids
+        for mine, theirs in zip(alone.csr, shared.csr):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        labels = cluster(shared, n_groups, seed=3).labels
+        assert ctfidf_top_terms(docs, labels, n_groups, 7, counts) == ctfidf_top_terms(
+            docs, labels, n_groups, 7
+        )
+
 
 class TestCluster:
     def test_k1_centroid_is_normalized_mean(self):
