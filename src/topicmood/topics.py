@@ -8,17 +8,16 @@ top class-based TF-IDF terms and every document receives a soft topic
 distribution from a temperature softmax over centroid cosines.
 
 Cosines are :meth:`DocMatrix.dots`. A TF-IDF row adds its non-zero
-products in column order, one ``bincount`` per centroid, so its labels,
-ties and soft rows come from fixed-order sums that no BLAS build or
-thread count touches. Supplied embeddings take one dense BLAS product and
-stay tied to the BLAS's summation order.
+products in column order: a fixed-order sum that no BLAS touches. The
+centroids are not: each is normalised by ``np.linalg.norm``, a BLAS ``ddot``,
+so another BLAS kernel can move their last bits and, through them, labels,
+ties and soft rows. Supplied embeddings take one dense BLAS product.
 
 :func:`cluster` keeps these cosines in one docs-major n x k buffer: the
 k-means++ seeding dots first, then fresh columns for the centroids that
-moved; sparse rows skip the zero products through a column index. A label
-is its row's argmax, the lowest index winning ties. The model carries the
-buffer as its k x n ``sims`` view, which :func:`soft_assign` spends: its
-softmax runs in place.
+moved. A label is its row's argmax, the lowest index winning ties. The
+model carries the buffer as its k x n ``sims`` view, which
+:func:`soft_assign` spends: its softmax runs in place.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +45,14 @@ __all__ = [
     "topic_prevalence",
 ]
 
+ONE_PASS_SHARE = 0.35  # the share of the non-zeros at which DocMatrix.dots takes one pass
+
+
+def _runs(lo: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The positions lo[i], ..., lo[i] + size[i] - 1 of every run i, runs in turn."""
+    at = np.repeat(lo - np.cumsum(size) + size, size)
+    return np.add(at, np.arange(len(at)), out=at)  # in place: two cell-length arrays, not three
+
 
 @dataclass(frozen=True)
 class DocMatrix:
@@ -64,7 +71,6 @@ class DocMatrix:
     terms: tuple[str, ...]
     matrix: np.ndarray | None = None  # dense, shape (len(post_ids), n_features)
     csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    _row_of: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.post_ids)
@@ -79,7 +85,6 @@ class DocMatrix:
         indptr, indices, data = self.csr
         if len(indptr) != n + 1 or not indptr[-1] == len(indices) == len(data):
             raise ValueError("CSR triplets do not hold one row per post id")
-        object.__setattr__(self, "_row_of", np.repeat(np.arange(n), np.diff(indptr)))
 
     def __len__(self) -> int:
         return len(self.post_ids)
@@ -95,25 +100,28 @@ class DocMatrix:
         indptr, indices, data = self.csr
         lo, hi = indptr[start], indptr[stop]
         block = np.zeros((stop - start, self.n_features))
-        block[self._row_of[lo:hi] - start, indices[lo:hi]] = data[lo:hi]
+        rows = np.repeat(np.arange(stop - start), np.diff(indptr[start : stop + 1]))
+        block[rows, indices[lo:hi]] = data[lo:hi]
         return block
 
-    def column_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse non-zeros' positions stably sorted by column, and each column's start in them."""
-        counts = np.bincount(self.csr[1], minlength=self.n_features)
-        return np.argsort(self.csr[1], kind="stable"), np.concatenate(([0], np.cumsum(counts)))
+    def column_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Non-zeros sorted by column (stably), each column's start among them, each one's row."""
+        indptr, indices, _ = self.csr
+        starts = np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=self.n_features))))
+        row_of = np.repeat(np.arange(len(self)), np.diff(indptr))
+        return np.argsort(indices, kind="stable"), starts, row_of
 
     def dots(self, vectors: np.ndarray, index=None) -> np.ndarray:
         """Dot products of every row with dense ``vectors`` of n_features.
 
         One vector gives shape (n,), a (m, n_features) stack gives (m, n) as
         the transpose of a docs-major array. Sparse rows add their products
-        over their non-zeros in column order (one ``bincount`` per vector),
-        so a stack gives the bits of one vector at a time. They go through a
-        :meth:`column_index`, built per call unless given, and skip the
-        columns where a vector is zero: those products are ±0.0, which never
-        move a sum that starts at +0.0. Dense rows take one BLAS ``gemv`` for
-        a vector, one ``gemm`` for a stack.
+        in column order, one ``bincount`` per vector, so a stack gives the
+        bits of one vector at a time: through a :meth:`column_index` (built
+        per call unless given) over the vector's columns, or over every cell
+        once those hold ``ONE_PASS_SHARE`` of the non-zeros. Products added
+        or skipped are ±0.0, which never move a sum that starts at +0.0.
+        Dense rows take a BLAS ``gemv`` for a vector, a ``gemm`` for a stack.
         """
         if self.matrix is not None:
             return (self.matrix @ vectors.T).T
@@ -125,26 +133,29 @@ class DocMatrix:
                 row[:] = self.dots(vector, index)
             return out
         # Column by column: each row still meets its non-zeros in column order.
-        order, starts = index
+        (order, starts, row_of), (_, indices, data) = index, self.csr
         cols = np.flatnonzero(vectors)
         lo, size = starts[cols], starts[cols + 1] - starts[cols]
-        at = order[np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())]
-        weights = self.csr[2][at] * np.repeat(vectors[cols], size)
-        return np.bincount(self._row_of[at], weights=weights, minlength=len(self))
+        if size.sum() >= ONE_PASS_SHARE * len(data):  # CSR order is column order per row too
+            return np.bincount(row_of, weights=data * vectors[indices], minlength=len(self))
+        at = order[_runs(lo, size)]
+        return np.bincount(row_of[at], data[at] * np.repeat(vectors[cols], size), len(self))
 
-    def label_sums(self, labels: np.ndarray, k: int) -> np.ndarray:
-        """Per-label sums of the rows, shape (k, n_features).
+    def label_sums(self, labels: np.ndarray, k: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(label, sum of its rows) for labels 0 to k - 1, one sum built at a time.
 
-        Each sum adds its rows in row order, as a column sum of the
-        label's dense rows does, so sum / count rounds like their mean.
+        A label's rows are added in row order (one ``bincount`` of its sparse cells), as a
+        column sum of its dense rows adds them, so sum / count rounds like their mean.
         """
-        if self.matrix is not None:
-            # At embedding widths k masked sums beat one bincount over all n·d cells.
-            return np.array([self.matrix[labels == kk].sum(axis=0) for kk in range(k)])
-        _, indices, data = self.csr
-        cells = labels[self._row_of] * self.n_features + indices
-        sums = np.bincount(cells, weights=data, minlength=k * self.n_features)
-        return sums.reshape(k, self.n_features)
+        if self.matrix is not None:  # embeddings: k masked sums beat one n·d-cell bincount
+            yield from ((kk, self.matrix[labels == kk].sum(axis=0)) for kk in range(k))
+            return
+        indptr, indices, data = self.csr
+        rows = np.argsort(labels, kind="stable")  # label by label, rows in order
+        at = _runs(indptr[rows], indptr[rows + 1] - indptr[rows])
+        ends = np.cumsum(np.bincount(labels, np.diff(indptr), k)).astype(int).tolist()
+        for kk, (a, b) in enumerate(zip([0] + ends, ends)):
+            yield kk, np.bincount(indices[at[a:b]], data[at[a:b]], self.n_features)
 
 
 @dataclass
@@ -158,6 +169,8 @@ class TopicModel:
     # DocMatrix.dots of the clustered rows with the centroids, shape (k, n): a view
     # of cluster's docs-major buffer, which soft_assign spends (None after)
     sims: np.ndarray | None = field(default=None, repr=False)
+    steps: int = 0  # the centroid updates cluster made
+    converged: bool = False  # whether its last step left every label unchanged, before max_iters
 
 
 def improper_row(matrix: np.ndarray) -> tuple[int, str] | None:
@@ -300,17 +313,17 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
 
     Distances are cosine-based (rows and centroids are unit length, so
     similarity is a dot product). Each centroid is the normalized mean of
-    its members, summed in row order. One docs-major n x k buffer holds
+    its members, summed in row order one cluster at a time: no k x V array
+    is held beside the centroids. One docs-major n x k buffer holds
     :meth:`DocMatrix.dots` of every row with every centroid, starting as
     the seeding dots; after an update only the columns of centroids that
     moved are taken again (a centroid that keeps its members comes out
-    bit-identical), sparse rows through a :meth:`DocMatrix.column_index`
-    that is dropped on return. Dense rows take all k columns again in one
-    product instead. Labels are the buffer's row argmaxes, so
-    nearest-centroid ties break toward the lowest cluster index, and a
-    cluster that empties out is re-seeded with the most isolated document
-    by that buffer. The result, with the buffer as its k x n ``sims`` view,
-    is a deterministic function of (docs, k, seed).
+    bit-identical), sparse rows via a :meth:`DocMatrix.column_index` dropped on return.
+    Dense rows take all k columns again in one product instead. Labels are
+    the buffer's row argmaxes, so nearest-centroid ties break toward the
+    lowest cluster index, and a cluster that empties out is re-seeded with
+    the most isolated document by that buffer. The result, with the buffer
+    as its k x n ``sims`` view, is a deterministic function of (docs, k, seed).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -347,7 +360,7 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
         dist = np.minimum(dist, np.maximum(1.0 - col, 0.0))
     retake([])  # dense rows: the seeds' gemv sums become one gemm's
 
-    labels = np.full(n, -1)
+    labels, steps, converged = np.full(n, -1), 0, False
     for _ in range(max_iters):
         new_labels = sims.argmax(axis=1)  # along contiguous rows; the lowest index wins ties
 
@@ -365,13 +378,12 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
                 centroids[kk] = docs.rows(pick, pick + 1)[0]
             retake(empty)
 
-        if (new_labels == labels).all():
+        if converged := (new_labels == labels).all():
             break
-        labels = new_labels
-        means = docs.label_sums(labels, k)
-        means /= counts[:, None]
+        labels, steps = new_labels, steps + 1
         moved = []  # only a moved centroid is dotted again
-        for kk, mean in enumerate(means):
+        for kk, total in docs.label_sums(labels, k):
+            mean = total / counts[kk]
             norm = np.linalg.norm(mean)
             if norm > 0:
                 mean = mean / norm
@@ -381,7 +393,7 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
         if moved:
             retake(moved)
 
-    return TopicModel(k, docs.terms, centroids, labels, sims.T)
+    return TopicModel(k, docs.terms, centroids, labels, sims.T, steps, bool(converged))
 
 
 def ctfidf_weight(tf_tc: float, tf_t: float, avg_words: float) -> float:

@@ -133,7 +133,8 @@ def lloyd_reference(docs, k, seed, max_iters=100):
     rows against all centroids. Sparse rows take :func:`fixed_order_dots`
     of their dense copies; dense rows take the BLAS products that define
     their cosines (``gemv`` for one seed, ``gemm`` for all centroids).
-    Centroids come from ``DocMatrix.label_sums``. Returns the labels, the
+    Each centroid sums its members' dense rows long-hand, one row at a
+    time in row order, and divides by the count. Returns the labels, the
     centroids and the rows' similarities with those centroids, shape (n, k).
     """
     n = len(docs)
@@ -180,8 +181,11 @@ def lloyd_reference(docs, k, seed, max_iters=100):
         if (new_labels == labels).all():
             break
         labels = new_labels
-        means = docs.label_sums(labels, k) / counts[:, None]
-        for kk, mean in enumerate(means):
+        for kk in range(k):
+            total = np.zeros(docs.n_features)
+            for i in np.flatnonzero(labels == kk):  # one member row at a time, in row order
+                total += rows[i]
+            mean = total / counts[kk]
             norm = np.linalg.norm(mean)
             if norm > 0:
                 centroids[kk] = mean / norm

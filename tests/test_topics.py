@@ -177,6 +177,16 @@ class TestCluster:
                 model = cluster(vecs, k, seed)
                 assert len(set(model.labels.tolist())) == k, (k, seed)
 
+    def test_says_whether_it_converged(self):
+        vecs = vectorize(synth_docs(300, 7))
+        full = cluster(vecs, 7, seed=0)
+        assert full.converged and full.steps > 1
+        cut = cluster(vecs, 7, seed=0, max_iters=1)
+        assert (cut.converged, cut.steps) == (False, 1)
+        assert (cut.labels != full.labels).any()
+        seeds = cluster(vecs, 7, seed=0, max_iters=0)
+        assert (seeds.converged, seeds.steps) == (False, 0)
+
 
 def synth_docs(n_docs, n_groups):
     stopwords = default_stopwords()
@@ -469,6 +479,41 @@ class TestDocsMajorSims:
         first = soft_assign(docs, model, 0.25).matrix
         assert model.sims is None
         assert same_bits(soft_assign(docs, model, 0.25).matrix, first)
+
+    @settings(deadline=None)
+    @given(unit_rows(), st.data())
+    def test_sparse_dots_of_narrow_to_dense_vectors_are_fixed_order_sums(self, mat, data):
+        # From one column up to every column: both sides of ONE_PASS_SHARE run, and
+        # rows with negative cells make -0.0 products where a vector is zero.
+        d = mat.shape[1]
+        width = data.draw(st.integers(1, d))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        vector = np.zeros(d)
+        vector[rng.choice(d, width, replace=False)] = rng.normal(size=width)
+        docs = as_docs(mat, sparse=True)
+        assert same_bits(docs.dots(vector), fixed_order_dots(mat, vector[None])[:, 0])
+
+    def test_cluster_holds_no_k_by_v_array_beside_the_centroids(self):
+        # 150 rows of 12 cells over 40,000 columns: a k x V array dwarfs the rows.
+        n, width, n_features, k = 150, 12, 40_000, 20
+        rng = np.random.default_rng(0)
+        cols = np.concatenate([np.sort(rng.choice(n_features, width, replace=False)) for _ in range(n)])
+        cells = rng.random((n, width)) + 0.1
+        cells /= np.linalg.norm(cells, axis=1)[:, None]
+        indptr = np.arange(0, n * width + 1, width)
+        docs = DocMatrix(
+            tuple(f"d{i}" for i in range(n)),
+            tuple(f"t{j}" for j in range(n_features)),
+            csr=(indptr, cols, cells.ravel()),
+        )
+        tracemalloc.start()
+        try:
+            model = cluster(docs, k, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = model.centroids.nbytes + model.sims.nbytes + k * n_features * 8 / 2
+        assert peak < bound, (peak, bound)
 
     def test_soft_assign_holds_no_second_copy_of_sims(self):
         vecs = vectorize(synth_docs(3000, 42))
