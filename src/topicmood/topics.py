@@ -15,9 +15,10 @@ ties and soft rows. Supplied embeddings take one dense BLAS product.
 
 :func:`cluster` keeps these cosines in one docs-major n x k buffer: the
 k-means++ seeding dots first, then fresh columns for the centroids that
-moved. A label is its row's argmax, the lowest index winning ties. The
-model carries the buffer as its k x n ``sims`` view, which
-:func:`soft_assign` spends: its softmax runs in place.
+moved; sparse rows skip the zero products through a column index. A label
+is its row's argmax, the lowest index winning ties. The model carries the
+buffer as its k x n ``sims`` view, which :func:`soft_assign` spends: its
+softmax runs in place.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ __all__ = [
     "soft_assign",
     "topic_prevalence",
 ]
-
-ONE_PASS_SHARE = 0.35  # the share of the non-zeros at which DocMatrix.dots takes one pass
-
 
 def _runs(lo: np.ndarray, size: np.ndarray) -> np.ndarray:
     """The positions lo[i], ..., lo[i] + size[i] - 1 of every run i, runs in turn."""
@@ -116,12 +114,12 @@ class DocMatrix:
 
         One vector gives shape (n,), a (m, n_features) stack gives (m, n) as
         the transpose of a docs-major array. Sparse rows add their products
-        in column order, one ``bincount`` per vector, so a stack gives the
-        bits of one vector at a time: through a :meth:`column_index` (built
-        per call unless given) over the vector's columns, or over every cell
-        once those hold ``ONE_PASS_SHARE`` of the non-zeros. Products added
-        or skipped are ±0.0, which never move a sum that starts at +0.0.
-        Dense rows take a BLAS ``gemv`` for a vector, a ``gemm`` for a stack.
+        over their non-zeros in column order (one ``bincount`` per vector),
+        so a stack gives the bits of one vector at a time. They go through a
+        :meth:`column_index`, built per call unless given, and skip the
+        columns where a vector is zero: those products are ±0.0, which never
+        move a sum that starts at +0.0. Dense rows take one BLAS ``gemv`` for
+        a vector, one ``gemm`` for a stack.
         """
         if self.matrix is not None:
             return (self.matrix @ vectors.T).T
@@ -133,13 +131,11 @@ class DocMatrix:
                 row[:] = self.dots(vector, index)
             return out
         # Column by column: each row still meets its non-zeros in column order.
-        (order, starts, row_of), (_, indices, data) = index, self.csr
+        order, starts, row_of = index
         cols = np.flatnonzero(vectors)
         lo, size = starts[cols], starts[cols + 1] - starts[cols]
-        if size.sum() >= ONE_PASS_SHARE * len(data):  # CSR order is column order per row too
-            return np.bincount(row_of, weights=data * vectors[indices], minlength=len(self))
         at = order[_runs(lo, size)]
-        return np.bincount(row_of[at], data[at] * np.repeat(vectors[cols], size), len(self))
+        return np.bincount(row_of[at], self.csr[2][at] * np.repeat(vectors[cols], size), len(self))
 
     def label_sums(self, labels: np.ndarray, k: int) -> Iterator[tuple[int, np.ndarray]]:
         """(label, sum of its rows) for labels 0 to k - 1, one sum built at a time.
@@ -151,7 +147,8 @@ class DocMatrix:
             yield from ((kk, self.matrix[labels == kk].sum(axis=0)) for kk in range(k))
             return
         indptr, indices, data = self.csr
-        rows = np.argsort(labels, kind="stable")  # label by label, rows in order
+        # Label by label, rows in order: a stable sort that numpy radix-sorts for k < 2^16.
+        rows = np.argsort(labels.astype(np.min_scalar_type(k)), kind="stable")
         at = _runs(indptr[rows], indptr[rows + 1] - indptr[rows])
         ends = np.cumsum(np.bincount(labels, np.diff(indptr), k)).astype(int).tolist()
         for kk, (a, b) in enumerate(zip([0] + ends, ends)):
