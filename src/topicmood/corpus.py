@@ -107,30 +107,26 @@ def _coerce_post(record: dict, where: str) -> Post:
     return post
 
 
-def utf8_lines(fh, error: type[ValueError] = CorpusError):
-    """The lines of a file opened as UTF-8 text, in order.
+def open_text(path: str | Path):
+    """Open a text input, as every one is opened: UTF-8 after an optional byte-order mark, CR, LF
+    and CRLF each ending a line, a bad byte escaped (``surrogateescape``) for :func:`utf8_lines`."""
+    return open(path, encoding="utf-8-sig", errors="surrogateescape", newline="")
 
-    Invalid UTF-8 raises ``error``: ``{path}, line N: invalid UTF-8 (byte
-    0x.., reason)``, where CR, LF and CRLF each end one line, as in text mode
-    and ``csv``. A text-mode file decodes ahead of the line being read, so
-    the decoder's position does not give the line; only after the read has
-    failed is the file decoded once more in full, through the same handle,
-    to find it; a named pipe cannot go back, and gets no line.
-    """
-    try:
-        yield from fh
-    except UnicodeDecodeError:
-        raw = b""
-        if fh.seekable():
-            fh.buffer.seek(0)
-            raw = fh.buffer.read()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = len(raw[: exc.start + 1].splitlines())  # the bad byte ends no line
-            byte = f"byte 0x{raw[exc.start]:02x}: {exc.reason}"
-            raise error(f"{fh.name}, line {lineno}: invalid UTF-8 ({byte})") from None
-        raise error(f"{fh.name}: invalid UTF-8") from None
+
+def utf8_lines(fh, error: type[ValueError] = CorpusError):
+    """The lines of a file from :func:`open_text`, each checked as it is read: a byte that is not
+    UTF-8 raises ``error``, ``{path}, line N: invalid UTF-8 (byte 0x.., reason)``."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # an escaped byte: its line, decoded strictly, names it
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    byte = f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+                    raise error(f"{fh.name}, line {lineno}: invalid UTF-8 ({byte})") from None
+        yield line
 
 
 def content_lines(path: str | Path, error: type[ValueError] = CorpusError):
@@ -138,7 +134,7 @@ def content_lines(path: str | Path, error: type[ValueError] = CorpusError):
 
     The one reader the config, stopword and lexicon files share; bad UTF-8 raises ``error``.
     """
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(utf8_lines(fh, error), start=1):
             line = raw.strip()
             if line and not line.startswith("#"):
@@ -147,7 +143,7 @@ def content_lines(path: str | Path, error: type[ValueError] = CorpusError):
 
 def _iter_jsonl(path: Path, error: type[ValueError] = CorpusError):
     """``(line number, record)`` per non-blank line; a bad line raises ``error``."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(utf8_lines(fh, error), start=1):
             if not line.strip():
                 continue
@@ -171,7 +167,7 @@ def _parse_csv_number(raw: str | None, name: str, where: str) -> float | None:
 
 
 def _iter_csv(path: Path):
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.DictReader(utf8_lines(fh))
         try:
             if reader.fieldnames is None:

@@ -203,12 +203,13 @@ def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
     """
     path = Path(path)
     ids: list[str] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:  # CR, LF and CRLF end a line
+    with corpus_mod.open_text(path) as fh:
         # Bad UTF-8, a cell loadtxt refuses, a row TopicDistribution refuses: the row loop decides.
         with suppress(ValueError), np.errstate(all="ignore"):
-            header = fh.readline()
+            lines = corpus_mod.utf8_lines(fh, ValueError)
+            header = next(lines, "")
             k = header.count(",")
-            rows = _plain_lines(chain([header], fh), k, ids)
+            rows = _plain_lines(chain([header], lines), k, ids)
             # The header is checked as a row. A file without data rows never
             # reaches loadtxt, which would warn.
             if k > 0 and next(rows) and ids == ["post_id"] and (first := next(rows, None)):

@@ -8,10 +8,10 @@ top class-based TF-IDF terms and every document receives a soft topic
 distribution from a temperature softmax over centroid cosines.
 
 Cosines are :meth:`DocMatrix.dots`. A TF-IDF row adds its non-zero
-products in column order: a fixed-order sum that no BLAS touches. The
-centroids are not: each is normalised by ``np.linalg.norm``, a BLAS ``ddot``,
-so another BLAS kernel can move their last bits and, through them, labels,
-ties and soft rows. Supplied embeddings take one dense BLAS product.
+products in column order, and each centroid is normalised by numpy's
+pairwise sum of its squares: fixed-order sums that no BLAS touches, so
+TF-IDF labels, ties and soft rows do not depend on the BLAS kernel.
+Supplied embeddings take one dense BLAS product, which does.
 
 :func:`cluster` keeps these cosines in one docs-major n x k buffer: the
 k-means++ seeding dots first, then fresh columns for the centroids that
@@ -268,9 +268,10 @@ def load_vectors(path: str | Path) -> DocMatrix:
     """Load pre-computed document vectors from a JSON-lines file.
 
     Each line holds ``{"id": ..., "vector": [floats]}``; ids must be
-    unique and all vectors of one length. Vectors are L2-normalized on
-    load and become the rows of a :class:`DocMatrix` without term names.
-    The rows go into one flat buffer that the matrix views: they are held once.
+    unique and all vectors of one length. Vectors are L2-normalized on load
+    and become the rows of a :class:`DocMatrix` without term names, held once
+    in one flat buffer that the matrix views. Their clusters still depend on
+    the BLAS kernel, through the ``gemm`` dots :func:`cluster` takes.
     """
     path = Path(path)
     ids: dict[str, None] = {}  # in file order
@@ -293,11 +294,11 @@ def load_vectors(path: str | Path) -> DocMatrix:
         except OverflowError:  # an integer beyond the float range
             raise ValueError(f"{path}, line {lineno}: 'vector' entry too large") from None
         with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(arr))
+            norm = float(np.sqrt(np.add.reduce(arr * arr)))
         if not _SAFE_NORM <= norm < math.inf and np.isfinite(arr).all() and arr.any():
             # The squares overflow, or underflow into subnormals or zero.
             arr = arr / np.abs(arr).max()
-            norm = float(np.linalg.norm(arr))
+            norm = float(np.sqrt(np.add.reduce(arr * arr)))
         if norm <= 0.0 or not np.isfinite(norm):
             raise ValueError(f"{path}, line {lineno}: vector for {post_id!r} has no norm")
         ids[post_id] = None
@@ -381,7 +382,7 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
         moved = []  # only a moved centroid is dotted again
         for kk, total in docs.label_sums(labels, k):
             mean = total / counts[kk]
-            norm = np.linalg.norm(mean)
+            norm = np.sqrt(np.add.reduce(mean * mean))  # numpy's pairwise sum, no BLAS
             if norm > 0:
                 mean = mean / norm
                 if (mean != centroids[kk]).any():

@@ -186,7 +186,7 @@ def lloyd_reference(docs, k, seed, max_iters=100):
             for i in np.flatnonzero(labels == kk):  # one member row at a time, in row order
                 total += rows[i]
             mean = total / counts[kk]
-            norm = np.linalg.norm(mean)
+            norm = np.sqrt(np.add.reduce(mean * mean))
             if norm > 0:
                 centroids[kk] = mean / norm
     return labels, centroids, dots(centroids)

@@ -1,6 +1,7 @@
 """Tests for post loading and text preprocessing."""
 
 import csv
+import importlib
 import json
 import os
 from importlib import resources
@@ -26,6 +27,7 @@ from fuzzfiles import (
     LONG_INTEGER,
     OVER_CSV_LIMIT,
     assert_loads_or_names_line,
+    lexicon_bytes,
     load_from_pipe,
     posts_csv_bytes,
     posts_jsonl_bytes,
@@ -173,11 +175,41 @@ class TestLoadPostsJsonl:
             load_posts(path, "jsonl")
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-    def test_invalid_utf8_on_a_pipe_fails_without_line(self, tmp_path):
-        # A pipe cannot be read again to find the line of the bad byte.
-        data = b'{"id": "a", "text": "caf\xff"}\n'
+    def test_invalid_utf8_on_a_pipe_names_line(self, tmp_path):
+        # Each line is checked as it is read, so a pipe needs no second read.
+        data = b'{"id": "a", "text": "x"}\n{"id": "b", "text": "caf\xff"}\n'
         message = load_from_pipe("topicmood.corpus:load_posts", data, tmp_path)
-        assert message == "CorpusError: PIPE: invalid UTF-8"
+        assert message == "CorpusError: PIPE, line 2: invalid UTF-8 (byte 0xff: invalid start byte)"
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        # The bad byte on line 2 is within the text decoder's first read-ahead chunk.
+        path = tmp_path / "posts.jsonl"
+        path.write_bytes(b'{oops\n{"id": "b", "text": "caf\xff"}\n')
+        with pytest.raises(CorpusError, match=r"posts\.jsonl, line 1: invalid JSON \("):
+            load_posts(path, "jsonl")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize(
+        "load, files",
+        [("topicmood.corpus:load_posts", posts_jsonl_bytes()),
+         ("topicmood.sentiment:load_lexicon", lexicon_bytes())],
+        ids=["posts", "lexicon"],
+    )
+    @settings(deadline=None, max_examples=6)
+    @given(data=st.data())
+    def test_pipe_reads_as_the_file(self, tmp_path_factory, load, files, data):
+        # Every child load costs an interpreter start, so few examples.
+        content = data.draw(files)
+        work = tmp_path_factory.mktemp("pipe")
+        path = work / "file"
+        path.write_bytes(content)
+        module, function = load.split(":")
+        try:
+            getattr(importlib.import_module(module), function)(path)
+            outcome = ""
+        except ValueError as exc:
+            outcome = f"{type(exc).__name__}: {exc}".replace(str(path), "PIPE")
+        assert load_from_pipe(load, content, work) == outcome
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "posts.jsonl"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topicmood import pipeline
+from topicmood import corpus, pipeline
 from topicmood import topics as topics_mod
 from topicmood.fuzzy import TFN, aggregate_topic
 from topicmood.pipeline import (
@@ -164,6 +164,15 @@ class TestFixtureMode:
         matrix_path.write_text("post_id,t0,t1\nghost,0.5,0.5\n", encoding="utf-8")
         with pytest.raises(StageError, match="unknown post id"):
             run_pipeline(fixture_config(posts_path, matrix_path))
+
+    def test_fuzzy_failure_names_its_topic(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ValueError("no aggregate")
+
+        monkeypatch.setattr(pipeline, "aggregate_topic", refuse)
+        with pytest.raises(StageError) as err:
+            run_pipeline(fixture_config(*write_table_fixture(tmp_path)))
+        assert str(err.value) == "[fuzzy] topic 0: no aggregate"
 
 
 def dist_outcome(load, path):
@@ -412,7 +421,7 @@ class TestLoadDistMatrix:
 
 def read_rows(path):
     """The per-row reader alone, on a file opened as load_dist_matrix opens it."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with corpus.open_text(path) as fh:
         return pipeline._dist_matrix_rows(fh)
 
 

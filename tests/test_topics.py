@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,61 @@ def duplicate_heavy_docs():
     return [doc(f"e{i}", *(str(t) for t in rng.choice(["aa", "bb"], 3))) for i in range(8)]
 
 
+# Clusters one synthetic corpus and prints the SHA-256 of its centroids and soft rows.
+_KERNEL_RUN = """
+import hashlib, sys
+sys.path[:0] = sys.argv[1:]
+from synthdata import many_group_records
+from topicmood.corpus import Post, default_stopwords, preprocess
+from topicmood.topics import cluster, soft_assign, vectorize
+stop = default_stopwords()
+docs = [preprocess(Post(r["id"], r["text"]), stop) for r in many_group_records(1000, 20)]
+vecs = vectorize([d for d in docs if not d.is_empty])
+model = cluster(vecs, 20, seed=0)
+print(hashlib.sha256(model.centroids.tobytes()).hexdigest())
+print(hashlib.sha256(soft_assign(vecs, model, 0.25).matrix.tobytes()).hexdigest())
+"""
+
+
+def _cpu_features():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+class TestBlasKernel:
+    def test_tfidf_clusters_do_not_depend_on_the_blas_kernel(self):
+        """Centroid and soft-row bits are equal under each OpenBLAS kernel this CPU runs.
+
+        OpenBLAS picks its kernel by ``OPENBLAS_CORETYPE``. A BLAS that ignores
+        the variable runs one kernel every time, and there this test passes
+        without testing anything.
+        """
+        features = _cpu_features()
+        kernels = [
+            name for name, feature in
+            (("Prescott", "SSE3"), ("Sandybridge", "AVX"), ("Haswell", "AVX2"),
+             ("SkylakeX", "AVX512F"))
+            if features.get(feature)
+        ]
+        if len(kernels) < 2:
+            pytest.skip("fewer than two OpenBLAS kernels run on this CPU")
+        root = Path(__file__).resolve().parents[1]
+        paths = [str(root / "src"), str(root / "tests")]
+        outputs = set()
+        for kernel in kernels:
+            proc = subprocess.run(
+                [sys.executable, "-c", _KERNEL_RUN, *paths],
+                capture_output=True, text=True, encoding="utf-8",
+                env=dict(os.environ, OPENBLAS_CORETYPE=kernel), timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, (kernels, outputs)
+
+
 class TestSparseRows:
     """CSR TF-IDF rows against references built on the same rows stored dense."""
 
@@ -279,7 +338,7 @@ class TestSparseRows:
         labels = model.labels
         for kk in range(42):
             mean = dense[labels == kk].mean(axis=0)
-            np.testing.assert_array_equal(model.centroids[kk], mean / np.linalg.norm(mean))
+            np.testing.assert_array_equal(model.centroids[kk], mean / np.sqrt(np.add.reduce(mean * mean)))
 
     def test_no_dense_doc_term_array(self):
         # No step densifies more than one row, so the peak stays below the
