@@ -8,6 +8,8 @@ opinion concepts.
 Production aggregation (:func:`aggregate_topic`) runs in numpy.
 :class:`WeightedSample`, :func:`weighted_mean` and :func:`weighted_std` are
 the exactly rounded (``math.fsum``) references the tests compare it against.
+It and :class:`WeightedSample` take a sample by one rule, :func:`check_sample`,
+and a :class:`TFN` is finite.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "ConformityTuple",
     "weighted_mean",
     "weighted_std",
+    "check_sample",
     "check_scale",
     "build_tfn",
     "tfn_membership",
@@ -39,11 +42,7 @@ NEGATIVE = "negative"
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """Polarity values paired with non-negative aggregation weights.
-
-    Weights may be zero for individual entries, but the total weight must
-    be strictly positive.
-    """
+    """Polarity values with aggregation weights, a sample that :func:`check_sample` passes."""
 
     values: tuple[float, ...]
     weights: tuple[float, ...]
@@ -51,17 +50,7 @@ class WeightedSample:
     def __init__(self, values: Iterable[float], weights: Iterable[float]):
         object.__setattr__(self, "values", tuple(float(v) for v in values))
         object.__setattr__(self, "weights", tuple(float(w) for w in weights))
-        if len(self.values) != len(self.weights):
-            raise ValueError(
-                f"values ({len(self.values)}) and weights ({len(self.weights)}) "
-                "must have equal length"
-            )
-        if not self.values:
-            raise ValueError("sample must contain at least one value")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be non-negative")
-        if math.fsum(self.weights) <= 0.0:
-            raise ValueError("total weight must be strictly positive")
+        check_sample(self.values, self.weights)
 
     @property
     def size(self) -> int:
@@ -76,7 +65,7 @@ class WeightedSample:
 
 @dataclass(frozen=True)
 class TFN:
-    """Triangular fuzzy number with support [a, b] and core m.
+    """Triangular fuzzy number with finite support [a, b] and core m.
 
     Membership rises linearly from 0 at ``a`` to 1 at ``m`` and falls back
     to 0 at ``b``. A degenerate TFN (a == m == b) is the crisp number m.
@@ -87,8 +76,8 @@ class TFN:
     b: float
 
     def __post_init__(self):
-        if not (self.a <= self.m <= self.b):
-            raise ValueError(f"TFN requires a <= m <= b, got ({self.a}, {self.m}, {self.b})")
+        if not -math.inf < self.a <= self.m <= self.b < math.inf:  # NaN fails too
+            raise ValueError(f"TFN requires finite a <= m <= b, got ({self.a}, {self.m}, {self.b})")
 
     @property
     def is_degenerate(self) -> bool:
@@ -168,6 +157,41 @@ def weighted_std(sample: WeightedSample) -> float:
     return math.sqrt(num / den)
 
 
+def check_sample(values, weights, post_weights=None) -> tuple[np.ndarray, np.ndarray, float]:
+    """The one sample rule: ``values``, the aggregation weights and their total, else ValueError.
+
+    A sample passes when its lengths are equal and non-zero, its values and weights (and
+    ``post_weights``) are finite, no aggregation weight ``weights * post_weights`` is negative,
+    and their total, numpy's pairwise sum, is > 0 and finite. An overflow fails the total
+    without a RuntimeWarning.
+    """
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    if len(values) != len(weights):
+        raise ValueError(
+            f"values ({len(values)}) and weights ({len(weights)}) must have equal length"
+        )
+    if not len(values):
+        raise ValueError("sample must contain at least one value")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    with np.errstate(over="ignore"):
+        if post_weights is not None:
+            post_weights = np.asarray(post_weights, dtype=float)
+            if post_weights.shape != weights.shape or not np.isfinite(post_weights).all():
+                raise ValueError("post_weights must be finite, one per value")
+            weights = weights * post_weights
+        if (weights < 0).any():
+            raise ValueError("weights must be non-negative")
+        total = weights.sum()
+    if not total > 0.0:
+        raise ValueError("total weight must be strictly positive")
+    if total == math.inf:
+        raise ValueError("total weight must be finite")
+    return values, weights, total
+
+
 def check_scale(scale: float) -> None:
     """Raise ValueError unless the TFN support scaling constant ``scale`` is finite and > 0."""
     if not 0 < scale < math.inf:  # NaN fails too
@@ -179,7 +203,8 @@ def build_tfn(core: float, sigma: float, scale: float = 1.0) -> TFN:
 
     The support is deliberately not clamped to [-1, 1]: the half-width can
     push the endpoints past the polarity range, and the possibility measure
-    is well defined on all of the reals.
+    is well defined on all of the reals. An endpoint past the float range
+    (a huge ``scale`` times sigma) fails the TFN's own rule: ValueError.
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
@@ -211,17 +236,17 @@ def possibility(t: TFN, concept: OpinionConcept) -> float:
 
         b / (p + b - m)
 
-    The negative concept is evaluated by mirror symmetry. Degenerate TFNs
-    reduce to the concept membership at the core.
+    The negative concept is the positive one reflected about zero, so the
+    same formula takes the mirrored TFN's core -m and far end -a; negation
+    is exact. Degenerate TFNs reduce to the concept membership at the core.
     """
-    if concept.kind == NEGATIVE:
-        return possibility(t.mirrored(), OpinionConcept(POSITIVE, concept.ramp))
     p = concept.ramp
-    if t.m >= p:
+    m, b = (t.m, t.b) if concept.kind == POSITIVE else (-t.m, -t.a)
+    if m >= p:
         return 1.0
-    if t.b <= 0.0:
+    if b <= 0.0:
         return 0.0
-    return t.b / (p + t.b - t.m)
+    return b / (p + b - m)
 
 
 def conformity(t: TFN, ramp: float = 0.2) -> ConformityTuple:
@@ -246,37 +271,11 @@ def aggregate_topic(
     multiplicatively. The core is the weighted mean and sigma the corrected
     weighted standard deviation, with the formulas of :func:`weighted_mean`
     and :func:`weighted_std`, computed in numpy; those two functions are the
-    exactly rounded references it is tested against. Raises ValueError on
-    unequal lengths, an empty sample, a non-finite value or weight, a
-    negative weight, or when every combined weight is zero.
+    exactly rounded references it is tested against. The sample must pass
+    :func:`check_sample`, and the TFN :func:`build_tfn`: a sample or support
+    that either refuses raises ValueError.
     """
-    values = np.asarray(polarities, dtype=float)
-    weights = np.asarray(dist_column, dtype=float)
-    if post_weights is not None:
-        engagement = np.asarray(post_weights, dtype=float)
-        if len(engagement) != len(weights):
-            raise ValueError("post_weights and dist_column must have equal length")
-        if not np.isfinite(engagement).all():
-            raise ValueError("post_weights must be finite")
-    if len(values) != len(weights):
-        raise ValueError(
-            f"values ({len(values)}) and weights ({len(weights)}) must have equal length"
-        )
-    if not len(values):
-        raise ValueError("sample must contain at least one value")
-    if not np.isfinite(values).all():
-        raise ValueError("values must be finite")
-    if not np.isfinite(weights).all():
-        raise ValueError("weights must be finite")
-    if post_weights is not None:
-        weights = weights * engagement
-    if (weights < 0).any():
-        raise ValueError("weights must be non-negative")
-    total = weights.sum()
-    if not total > 0.0:
-        raise ValueError("total weight must be strictly positive")
-    if not np.isfinite(total):
-        raise ValueError("total weight must be finite")
+    values, weights, total = check_sample(polarities, dist_column, post_weights)
     # Elementwise products and numpy's pairwise sum, not a BLAS dot product:
     # a multithreaded dot splits long vectors by thread count, which would
     # make the last bits depend on the machine's BLAS settings.

@@ -12,7 +12,7 @@ built-in TF-IDF rows. Both return the TopicDistribution over the
 contributing posts, each topic's top terms (empty for a supplied matrix),
 each row's hard topic and its position in the kept posts. For either
 source the stage then refuses a topic whose cells times the post weights
-are all zero or sum past the float range: no finite positive total weight.
+sum, as the fuzzy stage sums them, to zero or past the float range.
 """
 
 from __future__ import annotations
@@ -382,17 +382,16 @@ def run_pipeline(config: RunConfig) -> RunResult:
         dist, top_terms, hard, rows = source(config, posts, docs, live)
         doc_counts = np.bincount(hard, minlength=dist.k).tolist()
         post_weights = weight[rows]
-        with np.errstate(over="ignore"):
-            mass = post_weights @ dist.matrix  # each topic's total weight in the fuzzy stage
-        fault = (mass == 0) | (mass == np.inf)  # zero iff every cell x weight is; no n x k array
-        if fault.any():
-            topic = int(fault.argmax())
-            where = f"topic {topic}"
-            if config.dist_matrix_path is not None:  # post_id is column 1
-                where = f"{config.dist_matrix_path}: {where} (column {topic + 2})"
-            weighted = " times the post weights" if dist.column(topic).any() else ""
-            total = "sums past the float range over" if mass[topic] else "is zero on all"
-            raise ValueError(f"{where}{weighted} {total} {len(rows)} rows of live posts")
+        for topic in range(dist.k):
+            with np.errstate(over="ignore"):  # check_sample's sum, bit for bit, on any BLAS
+                mass = (dist.column(topic) * post_weights).sum()
+            if not 0 < mass < np.inf:
+                where = f"topic {topic}"
+                if config.dist_matrix_path is not None:  # post_id is column 1
+                    where = f"{config.dist_matrix_path}: {where} (column {topic + 2})"
+                weighted = " times the post weights" if dist.column(topic).any() else ""
+                total = "sums past the float range over" if mass else "is zero on all"
+                raise ValueError(f"{where}{weighted} {total} {len(rows)} rows of live posts")
 
     with _stage("fuzzy"):
         prevalence = topics_mod.topic_prevalence(dist)

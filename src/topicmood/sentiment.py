@@ -109,9 +109,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
             continue
 
         parts = line.split("\t")
-        word = parts[0].strip().lower()
-        if not word:
-            raise LexiconError(f"{path}, line {lineno}: empty word")
+        word = parts[0].strip().lower()  # not empty: the line is stripped
         if word in seen:
             raise LexiconError(
                 f"{path}, line {lineno}: duplicate word {word!r} (first on line {seen[word]})"

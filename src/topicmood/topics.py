@@ -17,8 +17,8 @@ Supplied embeddings take one dense BLAS product, which does.
 k-means++ seeding dots first, then fresh columns for the centroids that
 moved; sparse rows skip the zero products through a column index. A label
 is its row's argmax, the lowest index winning ties. The model carries the
-buffer as its k x n ``sims`` view, which :func:`soft_assign` spends: its
-softmax runs in place.
+buffer as its k x n ``sims`` view of the rows in ``sims_of``, which
+:func:`soft_assign` spends on those rows only: its softmax runs in place.
 """
 
 from __future__ import annotations
@@ -166,6 +166,7 @@ class TopicModel:
     # DocMatrix.dots of the clustered rows with the centroids, shape (k, n): a view
     # of cluster's docs-major buffer, which soft_assign spends (None after)
     sims: np.ndarray | None = field(default=None, repr=False)
+    sims_of: DocMatrix | None = field(default=None, repr=False, compare=False)  # those rows
     steps: int = 0  # the centroid updates cluster made
     converged: bool = False  # whether its last step left every label unchanged, before max_iters
 
@@ -280,8 +281,8 @@ def load_vectors(path: str | Path) -> DocMatrix:
     for lineno, record in _iter_jsonl(path, ValueError):
         post_id = record.get("id")
         values = record.get("vector")
-        if not isinstance(post_id, str) or not isinstance(values, list) or not values:
-            raise ValueError(f"{path}, line {lineno}: expected fields 'id' and non-empty 'vector'")
+        if not (isinstance(post_id, str) and post_id) or not isinstance(values, list) or not values:
+            raise ValueError(f"{path}, line {lineno}: expected a non-empty 'id' and 'vector'")
         if not {*map(type, values)} <= {int, float}:  # a bool, string, list or null
             raise ValueError(f"{path}, line {lineno}: 'vector' must hold numbers only")
         if post_id in ids:
@@ -391,7 +392,7 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
         if moved:
             retake(moved)
 
-    return TopicModel(k, docs.terms, centroids, labels, sims.T, steps, bool(converged))
+    return TopicModel(k, docs.terms, centroids, labels, sims.T, docs, steps, bool(converged))
 
 
 def ctfidf_weight(tf_tc: float, tf_t: float, avg_words: float) -> float:
@@ -463,9 +464,9 @@ def soft_assign(
     Row i is softmax(cos(row_i, centroid_k) / temperature); lower
     temperatures sharpen rows toward the hard assignment. ``docs`` must
     have the features the model was clustered on. The cosines are the
-    model's ``sims`` when it carries them, which requires ``docs`` to be
-    the rows it was clustered on; otherwise ``docs.dots`` of the
-    centroids, the same values. The softmax overwrites their docs-major
+    model's ``sims`` when ``docs`` is the very DocMatrix they were taken
+    from (``sims_of``), else ``docs.dots`` of the centroids, the same
+    values for those rows. The softmax overwrites the carried docs-major
     buffer, so it spends ``sims``: the model carries ``None`` afterwards.
     """
     check_temperature(temperature)
@@ -473,10 +474,10 @@ def soft_assign(
         raise ValueError("model has no centroids")
     if docs.terms != model.vocabulary:
         raise ValueError("documents and model have different features")
-    sims = model.sims if model.sims is not None else docs.dots(model.centroids)
-    if sims.shape != (model.k, len(docs)):
-        raise ValueError(f"model similarities of shape {sims.shape} do not match the documents")
-    model.sims = None
+    if model.sims is not None and model.sims_of is docs:
+        sims, model.sims, model.sims_of = model.sims, None, None
+    else:
+        sims = docs.dots(model.centroids)
 
     # In place on the buffer under sims, each row summed as a contiguous row.
     dist = np.ascontiguousarray(sims.T)

@@ -94,3 +94,33 @@ def write_table_fixture(tmp_path, negate=False):
         for i, row in enumerate(TABLE_MATRIX, start=1):
             writer.writerow([f"p{i}", *row])
     return posts_path, matrix_path
+
+
+MAX = float(np.finfo(float).max)
+# Post weights near the float limit, for one topic of 1s. Exactly summed, these eight come to
+# MAX * (1 + 2**-55), which rounds to MAX, but numpy's pairwise sum passes the float range.
+PAST_RANGE_WEIGHTS = tuple(
+    MAX * f for f in (2**-55, 0.25, 2**-54, 1 / 16, 1 / 16, 1 / 16, 1 / 16, 0.5 - 2**-54)
+)
+# These nine stay in range pairwise; the BLAS gemv of several OpenBLAS kernels overflows on them.
+IN_RANGE_WEIGHTS = (
+    4.4942328371557893e307, 2.4948003869184e291, 2.2471164185778946e307, 4.9896007738368e291,
+    4.4942328371557893e307, 2.2471164185778946e307, 0.9999999999999999, 4.4942328371557893e307,
+    0.9999999999999999,
+)
+
+
+def write_one_topic_fixture(directory, weights, polarities=(-0.5, 0.5)):
+    """Posts of ``weights`` with the ``polarities`` in turn, and a matrix of one topic of 1s.
+
+    The texts are short: run with ``min_chars=1``.
+    """
+    records = [
+        {"id": f"p{i}", "text": f"post {i}", "weight": w, "polarity": polarities[i % len(polarities)]}
+        for i, w in enumerate(weights)
+    ]
+    posts_path = write_jsonl(directory / "one_topic.jsonl", records)
+    matrix_path = directory / "one_topic.csv"
+    rows = "".join(f"p{i},1\n" for i in range(len(weights)))
+    matrix_path.write_text("post_id,t0\n" + rows, encoding="utf-8")
+    return posts_path, matrix_path

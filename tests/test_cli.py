@@ -22,7 +22,15 @@ from topicmood.sentiment import load_lexicon
 from topicmood.topics import load_vectors
 
 from fuzzfiles import dist_matrix_bytes, vectors_jsonl_bytes
-from synthdata import many_group_records, three_group_records, write_jsonl, write_table_fixture
+from synthdata import (
+    IN_RANGE_WEIGHTS,
+    PAST_RANGE_WEIGHTS,
+    many_group_records,
+    three_group_records,
+    write_jsonl,
+    write_one_topic_fixture,
+    write_table_fixture,
+)
 
 
 # The posts of the README quick start.
@@ -181,6 +189,51 @@ class TestRunCommand:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_pairwise_total_past_the_float_range_fails_in_topics_stage(self, tmp_path, capsys):
+        # The topics stage sums as the fuzzy stage does, so it refuses the topic before that
+        # sum can overflow and warn; a BLAS gemv kept these weights in range and let them on.
+        posts_path, matrix_path = write_one_topic_fixture(tmp_path, PAST_RANGE_WEIGHTS)
+        code = main(
+            [
+                "run", "--input", str(posts_path), "--dist-matrix", str(matrix_path),
+                "--min-chars", "1", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: [topics] {matrix_path}: topic 0 (column 2) times the post weights "
+            "sums past the float range over 8 rows of live posts\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_pairwise_total_in_range_runs(self, tmp_path, capsys):
+        posts_path, matrix_path = write_one_topic_fixture(tmp_path, IN_RANGE_WEIGHTS)
+        code = main(
+            [
+                "run", "--input", str(posts_path), "--dist-matrix", str(matrix_path),
+                "--min-chars", "1", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_infinite_tfn_support_fails_in_fuzzy_stage(self, tmp_path, capsys, fmt):
+        # sigma is sqrt(2), and 1.5e308 * sqrt(2) passes the float range.
+        posts_path, matrix_path = write_one_topic_fixture(tmp_path, (1.0, 1.0), (1.0, -1.0))
+        code = main(
+            [
+                "run", "--input", str(posts_path), "--dist-matrix", str(matrix_path),
+                "--min-chars", "1", "--scale", "1.5e308", "--report", fmt,
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: [fuzzy] topic 0: TFN requires finite a <= m <= b, got (-inf, 0.0, inf)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_fails_with_stage_tag(self, tmp_path, capsys):
         code = main(["run", "--input", str(tmp_path / "nope.jsonl"), "--topics", "2"])
         assert code == 1
@@ -324,6 +377,20 @@ class TestConfigFile:
         assert code == 0
         data = json.loads((out_dir / "report.json").read_text("utf-8"))
         assert data["config"]["seed"] == 9
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("topics 3\n", "{config}, line 1: expected key=value"),
+            ("topics = 3\n", "an input file is required (--input or config file)"),
+        ],
+        ids=["no-equals-sign", "no-input"],
+    )
+    def test_refusals(self, tmp_path, capsys, text, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: [config] {message.format(config=config)}\n"
 
     def test_unknown_key_rejected(self, corpus_path, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -239,6 +239,13 @@ class TestLoadPostsCsv:
         assert posts[0].weight == 1.0 and posts[0].polarity is None
         assert posts[1].weight == 3.0 and posts[1].polarity == 0.5
 
+    @pytest.mark.parametrize("content", [b"", b"\xef\xbb\xbf", b"id,text\n"], ids=["empty", "bom", "header"])
+    def test_file_without_rows_loads_no_posts(self, tmp_path, content):
+        # As an empty JSONL file does; the run then ends in the topics stage.
+        path = tmp_path / "posts.csv"
+        path.write_bytes(content)
+        assert load_posts(path, "csv") == []
+
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "posts.csv"
         path.write_text("id,weight\na,1\n", encoding="utf-8")

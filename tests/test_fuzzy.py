@@ -1,10 +1,11 @@
 """Tests for weighted statistics, TFN construction and the possibility measure."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topicmood.fuzzy import (
@@ -14,6 +15,7 @@ from topicmood.fuzzy import (
     WeightedSample,
     aggregate_topic,
     build_tfn,
+    check_sample,
     conformity,
     possibility,
     tfn_membership,
@@ -58,6 +60,56 @@ class TestWeightedSample:
     def test_empty(self):
         with pytest.raises(ValueError, match="at least one"):
             WeightedSample([], [])
+
+
+MAX = sys.float_info.max
+
+
+def refusal(make, *args):
+    """The message ``make(*args)`` raises ValueError with, else None."""
+    try:
+        make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestOneSampleRule:
+    """``WeightedSample`` and ``aggregate_topic`` take a sample by ``check_sample`` alone."""
+
+    def test_nan_weight_refused(self):
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            WeightedSample([1.0, 0.5], [math.nan, 1.0])
+
+    @pytest.mark.parametrize(
+        "make,args",
+        [
+            (WeightedSample, ([0.0, 0.0], [MAX, MAX])),
+            (aggregate_topic, ([0.0, 0.0], [MAX, MAX])),
+            (aggregate_topic, ([0.0, 0.0], [1.0, 1.0], [MAX, MAX])),
+            (aggregate_topic, ([0.0], [4.0], [MAX])),  # the product overflows
+        ],
+        ids=["sample", "column", "post-weights", "product"],
+    )
+    def test_total_past_the_float_range_refused_without_a_warning(self, make, args):
+        # RuntimeWarnings are errors under this suite's settings.
+        assert refusal(make, *args) == "total weight must be finite"
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(-1, 1), max_size=6),
+        st.lists(
+            st.sampled_from([math.nan, math.inf, -1.0, -0.0, 0.0, MAX / 2, MAX])
+            | st.floats(0, MAX),
+            max_size=6,
+        ),
+    )
+    @example([1.0, 0.5], [math.nan, 1.0])
+    @example([0.0, 0.0], [MAX, MAX])
+    def test_weighted_sample_and_aggregate_topic_refuse_alike(self, values, weights):
+        refused = refusal(WeightedSample, values, weights)
+        assert refusal(aggregate_topic, values, weights) == refused
+        assert refusal(check_sample, values, weights) == refused
 
 
 class TestWeightedMean:
@@ -160,9 +212,28 @@ class TestBuildTfn:
         with pytest.raises(ValueError, match="scale must be finite and > 0, got "):
             aggregate_topic([0.5, -0.5, 0.1], [1, 1, 1], scale=scale)
 
+    @pytest.mark.parametrize(
+        "core,sigma,scale",
+        [(0.0, math.sqrt(2), 1.5e308), (0.0, math.nan, 1.0), (math.inf, 0.0, 1.0)],
+    )
+    def test_non_finite_support_rejected(self, core, sigma, scale):
+        with pytest.raises(ValueError, match="^TFN requires finite a <= m <= b, got "):
+            build_tfn(core, sigma, scale)
+
+    def test_aggregate_refuses_an_infinite_support(self):
+        with pytest.raises(ValueError) as err:
+            aggregate_topic([1.0, -1.0], [1.0, 1.0], scale=1.5e308)
+        assert str(err.value) == "TFN requires finite a <= m <= b, got (-inf, 0.0, inf)"
+
     def test_tfn_ordering_enforced(self):
         with pytest.raises(ValueError):
             TFN(1.0, 0.5, 2.0)
+
+    @pytest.mark.parametrize("a,m,b", [(-math.inf, 0.0, math.inf), (0.0, 0.0, math.inf), (math.nan,) * 3])
+    def test_non_finite_tfn_rejected(self, a, m, b):
+        # Its possibility would read inf / inf = nan.
+        with pytest.raises(ValueError, match="^TFN requires finite a <= m <= b, got "):
+            TFN(a, m, b)
 
 
 class TestMembership:

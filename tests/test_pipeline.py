@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import random
 import threading
@@ -10,6 +11,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import astuple, replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from topicmood import corpus, pipeline
 from topicmood import topics as topics_mod
-from topicmood.fuzzy import TFN, aggregate_topic
+from topicmood.fuzzy import TFN, aggregate_topic, check_sample
 from topicmood.pipeline import (
     RunConfig,
     StageError,
@@ -32,6 +34,8 @@ from topicmood.svgplot import MARGIN_LEFT, MARGIN_RIGHT, WIDTH, emit_tfn_svg
 from fuzzfiles import dist_matrix_bytes, load_from_pipe
 from oracles import grid_possibility, spreadsheet_weighted_stats
 from synthdata import (
+    IN_RANGE_WEIGHTS,
+    MAX,
     TABLE_MATRIX,
     TABLE_POLARITIES,
     three_group_records,
@@ -198,6 +202,21 @@ _TOTAL_AT_BOUND_CELLS = [
 _TOTAL_AT_BOUND = "".join(
     ["post_id", *(f",t{j}" for j in range(19)), "\np0,", ",".join(_TOTAL_AT_BOUND_CELLS), "\n"]
 ).encode()
+
+
+@pytest.mark.parametrize("refusal", ["not-a-boolean", "empty-matrix", "bom-only-matrix"])
+def test_refusals(tmp_path, refusal):
+    empty, bom = tmp_path / "empty.csv", tmp_path / "bom.csv"
+    empty.write_bytes(b"")
+    bom.write_bytes(b"\xef\xbb\xbf")
+    make, message = {
+        "not-a-boolean": (lambda: pipeline._parse_bool("maybe"), "not a boolean: 'maybe'"),
+        "empty-matrix": (lambda: load_dist_matrix(empty), f"{empty}: empty distribution matrix"),
+        "bom-only-matrix": (lambda: load_dist_matrix(bom), f"{bom}: empty distribution matrix"),
+    }[refusal]
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
 
 
 class TestLoadDistMatrix:
@@ -526,6 +545,83 @@ class TestPositionalHandOff:
                 [weight[pid] for pid in order],
             )
             assert [x.hex() for x in astuple(report.tfn)] == [x.hex() for x in astuple(tfn)]
+
+
+class _Summed(np.ndarray):
+    """A topic column whose products record their sums: the totals the topics stage takes."""
+
+    totals: list[float] = []
+
+    def sum(self, *args, **kwargs):
+        total = float(super().sum(*args, **kwargs))
+        _Summed.totals.append(total)
+        return total
+
+
+_CELL = st.sampled_from([0.0, 5e-324]) | st.floats(0.01, 1)
+_POST_WEIGHT = st.sampled_from([5e-324, MAX / 4, MAX / 2, MAX, *IN_RANGE_WEIGHTS[:2]]) | st.floats(
+    5e-324, MAX
+)
+
+
+class TestTopicTotals:
+    """The topics stage sums each topic's weight as the fuzzy stage does, with no BLAS."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_topics_stage_refuses_exactly_the_fuzzy_total_faults(self, tmp_path_factory, data):
+        n, k = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 3))
+        rows = []
+        for _ in range(n):
+            raw = data.draw(st.lists(_CELL, min_size=k, max_size=k))
+            raw[data.draw(st.integers(0, k - 1))] += data.draw(st.floats(0.01, 1))
+            rows.append([x / sum(raw) for x in raw])
+        weights = data.draw(st.lists(_POST_WEIGHT, min_size=n, max_size=n))
+        polarities = data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+
+        base = tmp_path_factory.getbasetemp()
+        records = [
+            {"id": f"p{i}", "text": f"post {i}", "weight": w, "polarity": x}
+            for i, (w, x) in enumerate(zip(weights, polarities))
+        ]
+        posts_path = write_jsonl(base / "totals.jsonl", records)
+        matrix_path = base / "totals.csv"
+        lines = [",".join(["post_id", *(f"t{j}" for j in range(k))])]
+        lines += [",".join([f"p{i}", *map(repr, row)]) for i, row in enumerate(rows)]
+        matrix_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        _Summed.totals = []
+        summed = lambda dist, topic: dist.matrix[:, topic].view(_Summed)  # noqa: E731
+        with mock.patch.object(topics_mod.TopicDistribution, "column", summed):
+            try:
+                run_pipeline(fixture_config(posts_path, matrix_path))
+                error = None
+            except StageError as exc:
+                error = str(exc)
+
+        # The fuzzy stage's total for each topic, up to the first it refuses.
+        expected, matrix = [], np.array(rows)
+        for topic in range(k):
+            fault = refusal(aggregate_topic, polarities, matrix[:, topic], weights)
+            if fault is None:
+                expected.append(float(check_sample(polarities, matrix[:, topic], weights)[2]))
+                continue
+            assert fault in ("total weight must be strictly positive", "total weight must be finite")
+            expected.append(0.0 if fault.endswith("positive") else math.inf)
+            assert error.startswith(f"[topics] {matrix_path}: topic {topic} (column {topic + 2})")
+            break
+        else:
+            assert error is None
+        assert [x.hex() for x in _Summed.totals] == [x.hex() for x in expected]
+
+
+def refusal(make, *args):
+    """The message ``make(*args)`` raises ValueError with, else None."""
+    try:
+        make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 @pytest.fixture(scope="module")

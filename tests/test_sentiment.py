@@ -173,6 +173,23 @@ class TestLoadLexicon:
         assert_loads_or_names_line(load_lexicon, path, LexiconError)
 
 
+@pytest.mark.parametrize("refusal", ["unknown-source", "line-without-a-word"])
+def test_refusals(tmp_path, refusal):
+    # A lexicon line is stripped before it is split, so no line has an empty word:
+    # a line of a tab and a number has no word and no tab left.
+    lexicon = tmp_path / "lex.txt"
+    lexicon.write_text("\t0.5\n", encoding="utf-8")
+    make, message = {
+        "unknown-source": (lambda: PolarityScore("p1", 0.0, "guessed"), "unknown source 'guessed'"),
+        "line-without-a-word": (
+            lambda: load_lexicon(lexicon), f"{lexicon}, line 1: expected 'word<TAB>number'"
+        ),
+    }[refusal]
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 class TestScorePolarity:
     def test_single_hit_identity(self):
         assert score_polarity(doc("good"), LEX).value == 0.7

@@ -32,7 +32,7 @@ from topicmood.topics import (
 
 from fuzzfiles import DEEP_NESTING, assert_loads_or_names_line, vectors_jsonl_bytes
 from oracles import ctfidf_reference, dense_tfidf, fixed_order_dots, lloyd_reference
-from synthdata import many_group_records
+from synthdata import IN_RANGE_WEIGHTS, many_group_records, write_one_topic_fixture
 
 
 def doc(post_id, *tokens):
@@ -209,7 +209,7 @@ def duplicate_heavy_docs():
 _KERNEL_RUN = """
 import hashlib, sys
 sys.path[:0] = sys.argv[1:]
-from synthdata import many_group_records
+from synthdata import IN_RANGE_WEIGHTS, many_group_records, write_one_topic_fixture
 from topicmood.corpus import Post, default_stopwords, preprocess
 from topicmood.topics import cluster, soft_assign, vectorize
 stop = default_stopwords()
@@ -229,23 +229,28 @@ def _cpu_features():
     return __cpu_features__
 
 
+def _kernels():
+    """The OpenBLAS kernels (``OPENBLAS_CORETYPE``) this CPU runs; skips below two.
+
+    A BLAS that ignores the variable runs one kernel every time, and there a
+    test over these kernels passes without testing anything.
+    """
+    features = _cpu_features()
+    kernels = [
+        name for name, feature in
+        (("Prescott", "SSE3"), ("Sandybridge", "AVX"), ("Haswell", "AVX2"),
+         ("SkylakeX", "AVX512F"))
+        if features.get(feature)
+    ]
+    if len(kernels) < 2:
+        pytest.skip("fewer than two OpenBLAS kernels run on this CPU")
+    return kernels
+
+
 class TestBlasKernel:
     def test_tfidf_clusters_do_not_depend_on_the_blas_kernel(self):
-        """Centroid and soft-row bits are equal under each OpenBLAS kernel this CPU runs.
-
-        OpenBLAS picks its kernel by ``OPENBLAS_CORETYPE``. A BLAS that ignores
-        the variable runs one kernel every time, and there this test passes
-        without testing anything.
-        """
-        features = _cpu_features()
-        kernels = [
-            name for name, feature in
-            (("Prescott", "SSE3"), ("Sandybridge", "AVX"), ("Haswell", "AVX2"),
-             ("SkylakeX", "AVX512F"))
-            if features.get(feature)
-        ]
-        if len(kernels) < 2:
-            pytest.skip("fewer than two OpenBLAS kernels run on this CPU")
+        """Centroid and soft-row bits are equal under each OpenBLAS kernel this CPU runs."""
+        kernels = _kernels()
         root = Path(__file__).resolve().parents[1]
         paths = [str(root / "src"), str(root / "tests")]
         outputs = set()
@@ -258,6 +263,20 @@ class TestBlasKernel:
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
         assert len(outputs) == 1, (kernels, outputs)
+
+    def test_topic_totals_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # A BLAS gemv of these weights passed the float range under some kernels only.
+        posts_path, matrix_path = write_one_topic_fixture(tmp_path, IN_RANGE_WEIGHTS)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for kernel in _kernels():
+            proc = subprocess.run(
+                [sys.executable, "-m", "topicmood", "run", "--input", str(posts_path),
+                 "--dist-matrix", str(matrix_path), "--min-chars", "1",
+                 "--out", str(tmp_path / kernel)],
+                capture_output=True, text=True, encoding="utf-8", timeout=120,
+                env=dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=src),
+            )
+            assert proc.returncode == 0, (kernel, proc.stderr)
 
 
 class TestSparseRows:
@@ -482,13 +501,27 @@ class TestCarriedSims:
             soft_assign(docs, replace(model, sims=None), 0.25).matrix,
         )
 
-    def test_carried_sims_of_other_rows_rejected(self):
+    def test_carried_sims_of_other_rows_not_used(self):
         vecs = vectorize(two_group_docs())
         model = cluster(vecs, 2, seed=1)
         half = DocMatrix(vecs.post_ids[:8], vecs.terms, vecs.rows(0, 8))
-        with pytest.raises(ValueError, match="do not match the documents"):
-            soft_assign(half, model, 0.25)
-        assert soft_assign(half, replace(model, sims=None), 0.25).matrix.shape == (8, 2)
+        fresh = soft_assign(half, replace(model, sims=None), 0.25).matrix
+        assert same_bits(soft_assign(half, model, 0.25).matrix, fresh)
+        assert model.sims is not None  # kept for the rows they came from
+
+    def test_rows_of_the_same_length_take_fresh_dots(self):
+        # B = -A has A's length and features but other cosines: A's carried sims must not serve it.
+        rng = np.random.default_rng(3)
+        mat = rng.normal(size=(20, 5))
+        mat /= np.linalg.norm(mat, axis=1)[:, None]
+        a = DocMatrix(tuple(f"a{i}" for i in range(20)), (), mat)
+        b = DocMatrix(tuple(f"b{i}" for i in range(20)), (), -mat)
+        model = cluster(a, 3, seed=0)
+        got = soft_assign(b, model, 0.25)
+        assert got.post_ids == b.post_ids
+        assert same_bits(got.matrix, soft_assign(b, replace(model, sims=None), 0.25).matrix)
+        assert not same_bits(got.matrix, soft_assign(a, model, 0.25).matrix)
+        assert model.sims is None
 
 
 def same_bits(a, b):
@@ -877,6 +910,57 @@ class TestTopicPrevalence:
         assert topic_prevalence(dist).sum() == pytest.approx(len(vecs), abs=1e-6)
 
 
+_ONE_ROW = (np.array([0, 1]), np.array([0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: DocMatrix(("a",), ("t",)), "give either a dense matrix or CSR rows"),
+        (
+            lambda: DocMatrix(("a",), ("t",), np.ones((1, 1)), _ONE_ROW),
+            "give either a dense matrix or CSR rows",
+        ),
+        (
+            lambda: DocMatrix(("a", "b"), (), np.ones((1, 2))),
+            "matrix of shape (1, 2) does not hold one row per post id",
+        ),
+        (
+            lambda: DocMatrix(("a",), (), np.ones(2)),
+            "matrix of shape (2,) does not hold one row per post id",
+        ),
+        (
+            lambda: DocMatrix(("a", "b"), ("t",), csr=_ONE_ROW),
+            "CSR triplets do not hold one row per post id",
+        ),
+        (lambda: TopicDistribution(("a",), np.ones(1)), "matrix must be two-dimensional"),
+        (lambda: ctfidf_weight(1, 0, 2.0), "tf_t must be positive when tf_tc > 0"),
+        (
+            lambda: soft_assign(
+                DocMatrix(("a",), (), np.ones((1, 1))),
+                TopicModel(0, (), np.empty((0, 1)), np.zeros(0, int)),
+            ),
+            "model has no centroids",
+        ),
+        (
+            lambda: soft_assign(
+                DocMatrix(("a",), ("t",), csr=_ONE_ROW),
+                TopicModel(1, ("u",), np.ones((1, 1)), np.zeros(1, int)),
+            ),
+            "documents and model have different features",
+        ),
+    ],
+    ids=[
+        "no-rows", "both-rows", "dense-row-count", "dense-one-dimensional", "csr-row-count",
+        "distribution-one-dimensional", "tf_t-zero", "no-centroids", "other-features",
+    ],
+)
+def test_refusals(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 class TestLoadVectors:
     def test_load_and_normalize(self, tmp_path):
         path = tmp_path / "vecs.jsonl"
@@ -909,6 +993,19 @@ class TestLoadVectors:
         )
         with pytest.raises(ValueError, match="line 2"):
             load_vectors(path)
+
+    def test_empty_id_names_line(self, tmp_path):
+        path = tmp_path / "vecs.jsonl"
+        path.write_text(
+            json.dumps({"id": "a", "vector": [1.0, 0.0]})
+            + "\n"
+            + json.dumps({"id": "", "vector": [0.0, 1.0]})
+            + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as err:
+            load_vectors(path)
+        assert str(err.value) == f"{path}, line 2: expected a non-empty 'id' and 'vector'"
 
     def test_duplicate_id_names_line(self, tmp_path):
         path = tmp_path / "vecs.jsonl"
