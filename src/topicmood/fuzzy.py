@@ -279,12 +279,10 @@ def aggregate_topic(
     # Elementwise products and numpy's pairwise sum, not a BLAS dot product:
     # a multithreaded dot splits long vectors by thread count, which would
     # make the last bits depend on the machine's BLAS settings.
-    core = float((weights * values).sum() / total)
-    m_active = np.count_nonzero(weights > 0)
-    if m_active == 1:
-        sigma = 0.0
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):  # build_tfn refuses what overflows here
+        core = float((weights * values).sum() / total)
         num = (weights * (values - core) ** 2).sum()
-        sigma = float(np.sqrt(num / (((m_active - 1) / m_active) * total)))
+    m_active = np.count_nonzero(weights > 0)
+    sigma = float(np.sqrt(num / (((m_active - 1) / m_active) * total))) if m_active > 1 else 0.0
     tfn = build_tfn(core, sigma, scale)
     return tfn, conformity(tfn, ramp)

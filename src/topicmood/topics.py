@@ -3,8 +3,10 @@
 Documents enter the topic stage as one :class:`DocMatrix` with unit-norm
 rows: sparse TF-IDF weights over the corpus vocabulary, or pre-computed
 dense document vectors supplied instead of the built-in TF-IDF backend.
-The rows feed a seeded spherical k-means; clusters are described by their
-top class-based TF-IDF terms and every document receives a soft topic
+The rows feed a seeded spherical k-means, whose k-means++ draws replay
+numpy's ``default_rng(seed)`` PCG64 stream without importing numpy.random
+(a test holds the two equal); clusters are described by their top
+class-based TF-IDF terms and every document receives a soft topic
 distribution from a temperature softmax over centroid cosines.
 
 Cosines are :meth:`DocMatrix.dots`. A TF-IDF row adds its non-zero
@@ -307,17 +309,76 @@ def load_vectors(path: str | Path) -> DocMatrix:
     return DocMatrix(tuple(ids), (), np.frombuffer(flat).reshape(len(ids), dim))
 
 
+class _PCG64:
+    """numpy's ``default_rng(seed)`` for the two draws k-means++ makes, without numpy.random:
+    PCG64 (a 128-bit LCG, XSL-RR output after each step) seeded by ``SeedSequence(seed)``."""
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+        h = [0x43B0D7E5, 0x931E8875]  # SeedSequence's running hash constant and its multiplier
+
+        def hashmix(value):
+            value ^= h[0]
+            h[0] = h[0] * h[1] & 0xFFFFFFFF
+            value = value * h[0] & 0xFFFFFFFF
+            return value ^ value >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(max(4, len(words))):  # each pool word into the others, then later words
+            word = pool[src] if src < 4 else words[src]
+            for dst in range(4):
+                if dst != src:
+                    x = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(word)) & 0xFFFFFFFF
+                    pool[dst] = x ^ x >> 16
+        h[:] = 0x8B51F9DD, 0x58F38DED  # generate_state(4, np.uint64): 32-bit words paired
+        w = [hashmix(pool[i % 4]) | hashmix(pool[i % 4 + 1]) << 32 for i in (0, 2, 4, 6)]
+        self.inc = ((w[2] << 64 | w[3]) << 1 | 1) % (1 << 128)
+        self.state, self.half = self.inc + (w[0] << 64 | w[1]), []  # half: next32's spare half
+        self.next64()  # PCG's srandom: state 0 steps to inc; add the initial state, step again
+
+    def next64(self) -> int:
+        self.state = (self.state * 0x2360ED051FC65DA44385DF649FCCF645 + self.inc) % (1 << 128)
+        rot, x = self.state >> 122, (self.state >> 64 ^ self.state) & (1 << 64) - 1
+        return (x >> rot | x << (64 - rot)) & (1 << 64) - 1
+
+    def next32(self) -> int:
+        if not self.half:
+            x = self.next64()
+            self.half = [x >> 32, x & 0xFFFFFFFF]
+        return self.half.pop()
+
+    def integers(self, n: int) -> int:
+        """numpy's ``integers(n)``: Lemire's method, on 32-bit draws up to n = 2**32."""
+        bits, draw = (32, self.next32) if n <= 1 << 32 else (64, self.next64)
+        m = draw() * n if n > 1 else 0  # numpy draws nothing for one value
+        while m % (1 << bits) < (1 << bits) % n:
+            m = draw() * n
+        return m >> bits
+
+    def choice(self, n: int, p: np.ndarray) -> int:
+        """numpy's ``choice(n, p=p)``: the right-sided search of one 53-bit uniform in p's CDF."""
+        if len(p) != n or not (p >= 0).all() or not abs(p.sum() - 1.0) <= 2.0**-26:
+            raise ValueError("probabilities must be n non-negative numbers that sum to 1")
+        cdf = p.cumsum()
+        return int((cdf / cdf[-1]).searchsorted((self.next64() >> 11) * 2.0**-53, "right"))
+
+
 def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicModel:
     """Spherical k-means with seeded k-means++ initialization.
 
-    Distances are cosine-based (rows and centroids are unit length, so
-    similarity is a dot product). Each centroid is the normalized mean of
-    its members, summed in row order one cluster at a time: no k x V array
-    is held beside the centroids. One docs-major n x k buffer holds
-    :meth:`DocMatrix.dots` of every row with every centroid, starting as
-    the seeding dots; after an update only the columns of centroids that
-    moved are taken again (a centroid that keeps its members comes out
-    bit-identical), sparse rows via a :meth:`DocMatrix.column_index` dropped on return.
+    The seeding draws replay numpy's ``default_rng(seed)`` PCG64 stream
+    (:class:`_PCG64`, which imports no numpy.random; a test holds the two
+    equal on every supported numpy). Distances are cosine-based (rows and
+    centroids are unit length, so similarity is a dot product). Each centroid
+    is the normalized mean of its members, summed in row order one cluster at
+    a time: no k x V array is held beside the centroids. One docs-major n x k
+    buffer holds :meth:`DocMatrix.dots` of every row with every centroid,
+    starting as the seeding dots; after an update only the columns of
+    centroids that moved are taken again (a centroid that keeps its members
+    comes out bit-identical), sparse rows via a :meth:`DocMatrix.column_index`
+    dropped on return.
     Dense rows take all k columns again in one product instead. Labels are
     the buffer's row argmaxes, so nearest-centroid ties break toward the
     lowest cluster index, and a cluster that empties out is re-seeded with
@@ -330,7 +391,7 @@ def cluster(docs: DocMatrix, k: int, seed: int, max_iters: int = 100) -> TopicMo
         raise ValueError(f"k = {k} exceeds the number of documents ({len(docs)})")
 
     n = len(docs)
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
     index = None if docs.csr is None else docs.column_index()
     sims = np.empty((n, k))  # sims[:, kk]: every row's dot with centroid kk
 

@@ -626,6 +626,31 @@ class TestModuleInvocation:
         assert proc.returncode == 0, proc.stderr
         assert (out_dir / "report.json").exists()
 
+    def test_clustered_runs_do_not_load_numpy_random(self, corpus_path, tmp_path):
+        # k-means++ replays default_rng's stream: numpy.random, and the secrets and
+        # hashlib modules it pulls in, stay out of a TF-IDF run and a --vectors run.
+        lines = corpus_path.read_text(encoding="utf-8").splitlines()
+        vectors = tmp_path / "v.jsonl"
+        vectors.write_text("".join(
+            json.dumps({"id": json.loads(line)["id"], "vector": [1.0, i % 3, i % 5]}) + "\n"
+            for i, line in enumerate(lines)
+        ), encoding="utf-8")
+        runs = [run_args(corpus_path, tmp_path / "tfidf"),
+                run_args(corpus_path, tmp_path / "vectors", "--vectors", str(vectors))]
+        run = (
+            "import json, sys; from topicmood.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "loaded = [m for m in ('numpy.random', 'secrets', 'hashlib') if m in sys.modules]; "
+            "sys.exit(f'exit codes {codes}, loaded {loaded}' if any(codes) or loaded else 0)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", run, json.dumps(runs)],
+            capture_output=True, text=True, encoding="utf-8", env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "tfidf" / "report.json").exists()
+        assert (tmp_path / "vectors" / "report.json").exists()
+
 
 class TestBlasThreads:
     def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):

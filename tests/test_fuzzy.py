@@ -459,6 +459,23 @@ class TestAggregateTopic:
         with pytest.raises(ValueError):
             aggregate_topic([0.1, 0.2], [0.5, 0.5], post_weights=(1.0,))
 
+    @pytest.mark.parametrize(
+        "polarities,column",
+        [
+            ([MAX / 2, -MAX / 2], [1.0, 1.0]),
+            ([1e308, -1e308], [1.0, 1.0]),
+            ([1e308, 1e308], [1.0, 1.0]),
+            ([1e200, -1e200], [1.0, 1.0]),
+            ([1e308, 0.0], [0.5, 0.5]),
+            ([1e308] * 4 + [-1e308] * 4, [1.0] * 8),  # the core's sum is inf - inf
+        ],
+        ids=["half-max", "opposite", "same", "squares", "half-weights", "nan-core"],
+    )
+    def test_overflow_refused_by_the_tfn_without_a_warning(self, polarities, column):
+        # RuntimeWarnings are errors under this suite's settings.
+        with pytest.raises(ValueError, match="^TFN requires finite"):
+            aggregate_topic(polarities, column)
+
 
 POLARITY = st.floats(-1.0, 1.0)
 WEIGHT = st.floats(1e-6, 1e6)

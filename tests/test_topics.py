@@ -192,6 +192,54 @@ class TestCluster:
         assert (seeds.converged, seeds.steps) == (False, 0)
 
 
+# Both Lemire widths, both sides of 2**32 and one value (no draw at all).
+_LEMIRE_NS = [1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40]
+# An int n is one integers(n) draw, a list of weights one choice(len, p=weights / sum).
+_DRAWS = st.lists(
+    st.sampled_from(_LEMIRE_NS) | st.integers(1, 2**40)
+    | st.lists(st.floats(0, 1), min_size=1, max_size=9).filter(any),
+    max_size=40,
+)
+
+
+class TestSeedingStream:
+    """``topics._PCG64`` against numpy's ``default_rng``, the stream k-means++ draws from."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2**160), draws=_DRAWS)
+    @example(seed=0, draws=[1, 2**31, [0.5, 0.5], 2**31, 2**40, 2**32, 2**32 - 1, 2**32 + 1])
+    @example(seed=2**32, draws=[2, [1.0], 2, 2**40, 2])
+    @example(seed=2**128 - 1, draws=[2**32 - 1, [0.25, 0.0, 0.75], 2**32 - 1])
+    @example(seed=2**128 + 1, draws=[2**31, 2**31, 2**31, [0.0, 1.0]])
+    def test_replays_default_rng(self, seed, draws):
+        ours, numpy_rng = topics._PCG64(seed), np.random.default_rng(seed)
+        assert np.random.PCG64(seed).state["state"] == {"state": ours.state, "inc": ours.inc}
+        for draw in draws:
+            if isinstance(draw, int):
+                assert ours.integers(draw) == numpy_rng.integers(draw), draw
+            else:
+                p = np.array(draw) / sum(draw)
+                assert ours.choice(len(p), p=p) == numpy_rng.choice(len(p), p=p), draw
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_seed_refused(self, seed):
+        with pytest.raises(ValueError):
+            np.random.default_rng(seed)
+        with pytest.raises(ValueError):
+            topics._PCG64(seed)
+
+    @pytest.mark.parametrize(
+        "p", [[0.5, -0.1, 0.6], [math.nan, 0.5, 0.5], [0.5, 0.6, 0.1], [math.inf, 0.0, 0.0]],
+        ids=["negative", "nan", "sum-1.2", "inf"],
+    )
+    def test_bad_probabilities_refused(self, p):
+        p = np.array(p)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(3, p=p)
+        with pytest.raises(ValueError):
+            topics._PCG64(0).choice(3, p=p)
+
+
 def synth_docs(n_docs, n_groups):
     stopwords = default_stopwords()
     return [
