@@ -29,6 +29,7 @@ __all__ = [
     "weighted_std",
     "check_sample",
     "check_scale",
+    "check_ramp",
     "build_tfn",
     "tfn_membership",
     "possibility",
@@ -106,8 +107,7 @@ class OpinionConcept:
     def __post_init__(self):
         if self.kind not in (POSITIVE, NEGATIVE):
             raise ValueError(f"kind must be {POSITIVE!r} or {NEGATIVE!r}, got {self.kind!r}")
-        if not 0 < self.ramp < math.inf:  # NaN fails too
-            raise ValueError("ramp must be finite and positive")
+        check_ramp(self.ramp)
 
     @classmethod
     def positive(cls, ramp: float = 0.2) -> "OpinionConcept":
@@ -196,6 +196,12 @@ def check_scale(scale: float) -> None:
     """Raise ValueError unless the TFN support scaling constant ``scale`` is finite and > 0."""
     if not 0 < scale < math.inf:  # NaN fails too
         raise ValueError(f"scale must be finite and > 0, got {scale}")
+
+
+def check_ramp(ramp: float) -> None:
+    """Raise ValueError unless the opinion concepts' ramp endpoint ``ramp`` lies in (0, 1]."""
+    if not 0 < ramp <= 1:  # NaN fails too
+        raise ValueError("ramp must lie in (0, 1]")
 
 
 def build_tfn(core: float, sigma: float, scale: float = 1.0) -> TFN:

@@ -31,7 +31,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import sentiment as sentiment_mod
 from . import topics as topics_mod
-from .fuzzy import TFN, aggregate_topic, check_scale
+from .fuzzy import TFN, aggregate_topic, check_ramp, check_scale
 from .svgplot import emit_tfn_svg
 
 __all__ = [
@@ -127,10 +127,7 @@ class RunConfig:
         "temperature", "soft assignment temperature", float, 0.25, topics_mod.check_temperature
     )
     scale: float = _setting("scale", "TFN support scaling constant", float, 1.0, check_scale)
-    ramp: float = _setting(
-        "ramp", "opinion concept ramp endpoint", float, 0.2,
-        _require(lambda r: 0 < r <= 1, "ramp must lie in (0, 1]"),
-    )
+    ramp: float = _setting("ramp", "opinion concept ramp endpoint", float, 0.2, check_ramp)
     n_terms: int = _setting("n-terms", "top terms per topic", int, 7, _at_least(1, "n_terms"))
     stopwords_path: str | Path | None = _file("stopwords", "stopword file, else a bundled list")
     lexicon_path: str | Path | None = _file("lexicon", "lexicon file, else a bundled one")
@@ -192,14 +189,14 @@ class RunResult:
 def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
     """Read a supplied topic-distribution matrix.
 
-    CSV with a header row: first column ``post_id``, remaining columns one
-    per topic; a UTF-8 byte-order mark is skipped. Each row must pass the
-    one row rule, :func:`topics.improper_row`; the first that fails is named
-    by its line. A plain file (no quote, one cell per column on every line)
-    is read once, as a stream: ``np.loadtxt`` parses its lines as they are
-    checked, into the one array the distribution keeps. Any doubt sends the
-    same handle back to the start, to a per-row loop which alone raises; a
-    doubtful file that cannot seek, such as a named pipe, is an error.
+    CSV with a header row: first column ``post_id``, ids as written, then one
+    column per topic; a UTF-8 byte-order mark is skipped. Each row must pass
+    the one row rule, :func:`topics.improper_row`; the first that fails is
+    named by its line. A plain file (no quote, one cell per column on every
+    line) is read once, as a stream: ``np.loadtxt`` parses its lines as they
+    are checked, into the one array the distribution keeps. Any doubt sends
+    the same handle back to the start, to a per-row loop which alone raises;
+    a doubtful file that cannot seek, such as a named pipe, is an error.
     """
     path = Path(path)
     ids: list[str] = []
@@ -212,7 +209,7 @@ def load_dist_matrix(path: str | Path) -> topics_mod.TopicDistribution:
             rows = _plain_lines(chain([header], lines), k, ids)
             # The header is checked as a row. A file without data rows never
             # reaches loadtxt, which would warn.
-            if k > 0 and next(rows) and ids == ["post_id"] and (first := next(rows, None)):
+            if k > 0 and next(rows) and ids[0].strip() == "post_id" and (first := next(rows, None)):
                 mat = np.loadtxt(
                     chain([first], rows), delimiter=",", comments=None,
                     usecols=range(1, k + 1), ndmin=2,
@@ -232,7 +229,7 @@ _DOUBTFUL = '"\0\x1c\x1d\x1e\x1f'
 
 
 def _plain_lines(lines, k: int, ids: list[str]):
-    """The non-blank ``lines`` without their ends; each adds its first cell, stripped, to ``ids``.
+    """The non-blank ``lines`` without their ends; each adds its first cell, as written, to ``ids``.
 
     A line with other than ``k`` commas, a character of ``_DOUBTFUL`` or
     more than ``csv.field_size_limit()`` characters raises ValueError.
@@ -244,7 +241,7 @@ def _plain_lines(lines, k: int, ids: list[str]):
             continue
         if len(line) > limit or line.count(",") != k or any(map(line.__contains__, _DOUBTFUL)):
             raise ValueError("not a plain line")
-        ids.append(line[: line.find(",")].strip())
+        ids.append(line[: line.find(",")])
         yield line
 
 
@@ -270,7 +267,7 @@ def _dist_matrix_rows(fh) -> topics_mod.TopicDistribution:
                 continue
             if len(row) != k + 1:
                 raise ValueError(f"{path}, line {lineno}: expected {k + 1} columns, got {len(row)}")
-            post_id = row[0].strip()
+            post_id = row[0]
             if not post_id:
                 raise ValueError(f"{path}, line {lineno}: empty post_id")
             if post_id in seen:
@@ -289,14 +286,15 @@ def _dist_matrix_rows(fh) -> topics_mod.TopicDistribution:
     return topics_mod.TopicDistribution(tuple(ids), np.array(rows).reshape(len(rows), k))
 
 
-def _keep_live(supplied, source: str, posts, docs, live):
+def _keep_live(supplied, source: str | Path, posts, docs, live):
     """Restrict a supplied per-post matrix to the rows of live documents.
 
     ``supplied`` is a TopicDistribution or a DocMatrix with a dense matrix, ``live`` the positions
     in ``docs`` of the non-empty documents. The live rows move to the front of that matrix in place,
     one at a time and in order, and the result holds a view of them, so no second array is made;
     ``supplied`` itself is spent. Returns the restricted matrix and, per row, its post's position in
-    ``docs``. An id naming none of ``posts`` is an error, as is a file that covers no live post.
+    ``docs``. An id naming none of ``posts`` is an error that names ``source``, the file the
+    matrix was read from. A file that covers no live post is an error too.
     """
     ids = supplied.post_ids
     all_ids = {p.id for p in posts}
@@ -322,7 +320,7 @@ def _supplied_topics(config: RunConfig, posts, docs, live):
             f"configured topic count {config.n_topics} disagrees with the "
             f"supplied matrix ({full_dist.k} columns)"
         )
-    dist, rows = _keep_live(full_dist, "distribution matrix", posts, docs, live)
+    dist, rows = _keep_live(full_dist, config.dist_matrix_path, posts, docs, live)
     return dist, [[] for _ in range(dist.k)], dist.matrix.argmax(axis=1), rows
 
 
@@ -334,7 +332,7 @@ def _clustered_topics(config: RunConfig, posts, docs, live):
         vectors, rows = topics_mod.vectorize(row_docs, counts), live
     else:
         vectors, rows = _keep_live(
-            topics_mod.load_vectors(config.vectors_path), "vectors file", posts, docs, live
+            topics_mod.load_vectors(config.vectors_path), config.vectors_path, posts, docs, live
         )
         row_docs, counts = [docs[i] for i in rows], None
     model = topics_mod.cluster(vectors, config.n_topics, config.seed)
@@ -433,8 +431,6 @@ def _round6(value):
         return round(value, 6)
     if is_dataclass(value):  # fields in declaration order, without asdict's deep copies
         return {f.name: _round6(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {k: _round6(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round6(v) for v in value]
     return value
@@ -454,18 +450,18 @@ def emit_report(
 ) -> Path:
     """Write the topic reports to ``path`` as JSON or CSV.
 
-    The JSON document carries the config echo and run metadata alongside
-    the topic array; the CSV holds one row per topic with fixed columns
-    (topic_id, top_terms, prevalence, tfn_a, tfn_m, tfn_b, positivity,
-    negativity). Numbers are serialized at 6 decimal places. A non-finite
+    The JSON document carries the config echo and run metadata as given,
+    alongside the topic array; the CSV holds one row per topic with fixed
+    columns (topic_id, top_terms, prevalence, tfn_a, tfn_m, tfn_b, positivity,
+    negativity). Topic numbers are serialized at 6 decimal places. A non-finite
     number or text that is not UTF-8 in a JSON document raises ValueError
     and nothing is written.
     """
     path = Path(path)
     if fmt == "json":
         document = {
-            "config": _round6(config or {}),
-            "metadata": _round6(metadata or {}),
+            "config": config or {},
+            "metadata": metadata or {},
             "topics": [_report_dict(r) for r in reports],
         }
         # Strict JSON (RFC 8259): a NaN or infinity raises instead of being written.

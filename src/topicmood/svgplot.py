@@ -54,19 +54,16 @@ def emit_tfn_svg(
 ) -> Path:
     """Write one SVG with a labeled membership triangle per selected topic.
 
-    ``selection`` lists topic ids (default: every report). The x axis spans
-    at least [-1, 1], widened to cover every drawn support; dashed vertical
-    reference lines mark -ramp, 0 and +ramp. Returns the output path.
+    ``selection`` lists topic ids (default: every report), a repeated id
+    drawn once. The x axis spans at least [-1, 1], widened to cover every
+    drawn support; dashed vertical reference lines mark -ramp, 0 and +ramp.
+    Returns the output path.
     """
     by_id = {r.topic_id: r for r in reports}
-    if selection is None:
-        selected = list(reports)
-    else:
-        selected = []
-        for topic_id in selection:
-            if topic_id not in by_id:
-                raise ValueError(f"unknown topic id {topic_id}")
-            selected.append(by_id[topic_id])
+    for topic_id in selection or ():
+        if topic_id not in by_id:
+            raise ValueError(f"unknown topic id {topic_id}")
+    selected = list(reports) if selection is None else [by_id[t] for t in dict.fromkeys(selection)]
     if not selected:
         raise ValueError("no topics selected for the SVG")
 

@@ -533,7 +533,7 @@ def soft_assign(
     check_temperature(temperature)
     if model.k < 1:
         raise ValueError("model has no centroids")
-    if docs.terms != model.vocabulary:
+    if docs.terms != model.vocabulary or docs.n_features != model.centroids.shape[1]:
         raise ValueError("documents and model have different features")
     if model.sims is not None and model.sims_of is docs:
         sims, model.sims, model.sims_of = model.sims, None, None

@@ -12,7 +12,7 @@ from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topicmood.cli import _build_config, build_parser, main
@@ -803,6 +803,60 @@ class TestAnySettingsExitCleanly:
             place = rf"^\[config\] {re.escape(str(cfg))}, line \d+: "
             by_file = re.sub(place, "[config] ", by_file)
         assert by_file == by_flags
+
+
+def _config_lines(echo):
+    """``report.json``'s config block as config-file lines: field names mapped to flag keys."""
+    lines = []
+    for f in fields(RunConfig):
+        value = echo[f.name]
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        elif isinstance(value, bool):
+            value = str(value).lower()
+        if value is not None:
+            lines.append(f"{f.metadata['flag']}={value}\n")
+    return "".join(lines)
+
+
+class TestEchoReproducesRun:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        topics=st.integers(1, 3),
+        seed=st.integers(0, 2**40),
+        min_chars=st.integers(1, 60),
+        # Many of these carry more than six decimals; the echo must keep every one.
+        numbers=st.tuples(st.floats(1e-7, 10.0), st.floats(1e-8, 2.0), st.floats(1e-7, 1.0)),
+        n_terms=st.integers(1, 9),
+        svg_topics=st.none() | st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    )
+    @example(
+        topics=3, seed=7, min_chars=40, numbers=(1.2e-07, 4e-07, 0.1234567),
+        n_terms=7, svg_topics=None,
+    )
+    def test_config_echo_reruns_to_the_same_report(
+        self, tmp_path_factory, topics, seed, min_chars, numbers, n_terms, svg_topics
+    ):
+        work = tmp_path_factory.mktemp("echo")
+        corpus = write_jsonl(work / "posts.jsonl", three_group_records(n_per_group=3))
+        out_dir = work / "out"
+        scale, temperature, ramp = numbers
+        argv = [
+            "run", "--input", str(corpus), "--topics", str(topics), "--seed", str(seed),
+            "--min-chars", str(min_chars), "--scale", repr(scale), "--temperature",
+            repr(temperature), "--ramp", repr(ramp), "--n-terms", str(n_terms),
+            "--out", str(out_dir), "--svg",
+        ]
+        if svg_topics is not None:
+            argv += ["--svg-topics", ",".join(f"{t % topics}" for t in svg_topics)]
+        assert run_to_stage(argv, out_dir) is None
+        first = {name: (out_dir / name).read_bytes() for name in ("report.json", "tfns.svg")}
+
+        cfg = work / "echo.cfg"
+        echo = json.loads(first["report.json"])["config"]
+        cfg.write_text(_config_lines(echo), encoding="utf-8")
+        assert run_to_stage(["run", "--config", str(cfg)], out_dir) is None
+        assert {name: (out_dir / name).read_bytes() for name in first} == first
 
 
 def supplied_posts(work):

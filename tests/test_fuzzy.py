@@ -282,10 +282,20 @@ class TestOpinionConcept:
     @pytest.mark.parametrize("ramp", [math.nan, math.inf])
     def test_non_finite_ramp_rejected(self, ramp):
         # A NaN ramp fails no "<= 0" test; an infinite one would make every conformity 0.
-        with pytest.raises(ValueError, match="ramp must be finite and positive"):
+        with pytest.raises(ValueError, match=r"ramp must lie in \(0, 1\]"):
             OpinionConcept.negative(ramp)
-        with pytest.raises(ValueError, match="ramp must be finite and positive"):
+        with pytest.raises(ValueError, match=r"ramp must lie in \(0, 1\]"):
             aggregate_topic([0.5, -0.5, 0.1], [1, 1, 1], ramp=ramp)
+
+    def test_ramp_range_is_the_configs(self):
+        # One rule, fuzzy.check_ramp, for --ramp and the library: a ramp past 1 is refused.
+        with pytest.raises(ValueError) as err:
+            OpinionConcept.positive(1.5)
+        assert str(err.value) == "ramp must lie in (0, 1]"
+        with pytest.raises(ValueError) as err:
+            aggregate_topic([0.5, -0.5, 0.1], [1, 1, 1], ramp=1.5)
+        assert str(err.value) == "ramp must lie in (0, 1]"
+        assert OpinionConcept.negative(1.0).membership(-1.0) == 1.0
 
 
 class TestPossibility:

@@ -166,8 +166,38 @@ class TestFixtureMode:
         posts_path, _ = write_table_fixture(tmp_path)
         matrix_path = tmp_path / "bad.csv"
         matrix_path.write_text("post_id,t0,t1\nghost,0.5,0.5\n", encoding="utf-8")
-        with pytest.raises(StageError, match="unknown post id"):
+        with pytest.raises(StageError, match="unknown post id") as err:
             run_pipeline(fixture_config(posts_path, matrix_path))
+        assert str(err.value) == f"[topics] {matrix_path} references unknown post id 'ghost'"
+
+    @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_NONNUMERIC],
+                             ids=["bulk", "row-loop"])
+    def test_post_ids_match_as_written(self, tmp_path, monkeypatch, quoting):
+        # Posts, --vectors and --dist-matrix take ids byte for byte: " p1" is not "p1".
+        # The header alone may be padded; a quote sends the file to the row loop.
+        base_posts, base_matrix = write_table_fixture(tmp_path)
+        records = [json.loads(line) for line in base_posts.read_text("utf-8").splitlines()]
+        records[0]["id"] = " p1"
+        posts_path = write_jsonl(tmp_path / "padded.jsonl", records)
+        matrix_path = tmp_path / "padded.csv"
+        with open(matrix_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, quoting=quoting)
+            writer.writerow([" post_id ", "topic_0", "topic_1", "topic_2"])
+            for post_id, row in zip((" p1", "p2", "p3"), TABLE_MATRIX):
+                writer.writerow([post_id, *row])
+        row_loop, entered = pipeline._dist_matrix_rows, []
+        monkeypatch.setattr(
+            pipeline, "_dist_matrix_rows", lambda fh: entered.append(fh) or row_loop(fh)
+        )
+        padded = run_pipeline(fixture_config(posts_path, matrix_path))
+        assert len(entered) == (quoting == csv.QUOTE_NONNUMERIC)
+        assert padded.reports == run_pipeline(fixture_config(base_posts, base_matrix)).reports
+
+        stripped = tmp_path / "stripped.csv"
+        stripped.write_text(base_matrix.read_text("utf-8"), encoding="utf-8")
+        with pytest.raises(StageError) as err:
+            run_pipeline(fixture_config(posts_path, stripped))
+        assert str(err.value) == f"[topics] {stripped} references unknown post id 'p1'"
 
     def test_fuzzy_failure_names_its_topic(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -734,6 +764,22 @@ class TestStandardMode:
             + meta["empty_after_cleaning"] + meta["excluded"]
         )
 
+    def test_vector_with_unknown_post_id_names_file(self, tmp_path):
+        # Ids are taken as written, so the padded " p3" names no post.
+        records = [
+            {"id": f"p{i}", "text": f"completely identical filler words repeated for every single post number {i}"}
+            for i in range(4)
+        ]
+        posts_path = write_jsonl(tmp_path / "posts.jsonl", records)
+        vec_path = tmp_path / "vectors.jsonl"
+        rows = [json.dumps({"id": pid, "vector": [1.0, 0.5]}) for pid in ("p0", "p1", " p3")]
+        vec_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+        cfg = RunConfig(input_path=posts_path, n_topics=2, seed=0, vectors_path=vec_path)
+        with pytest.raises(StageError) as err:
+            run_pipeline(cfg)
+        assert str(err.value) == f"[topics] {vec_path} references unknown post id ' p3'"
+
 
 class TestNoUsablePost:
     """Every topic source stops a run without a usable post with one message."""
@@ -945,6 +991,13 @@ class TestEmitTfnSvg:
     def test_unknown_topic_id_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown topic id"):
             emit_tfn_svg(sample_reports(), tmp_path / "t.svg", selection=[9])
+
+    def test_repeated_topic_id_drawn_once(self, tmp_path):
+        path = emit_tfn_svg(sample_reports(), tmp_path / "t.svg", selection=[1, 0, 1, 1])
+        root = ET.parse(path).getroot()
+        assert len(root.findall(f"{SVG_NS}polyline")) == 2
+        legend = [e.text for e in root.findall(f"{SVG_NS}text") if e.get("font-size") == "12"]
+        assert [text.split(":")[0] for text in legend] == ["1", "0"]
 
     def test_empty_selection_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no topics"):

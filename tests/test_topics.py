@@ -997,10 +997,18 @@ _ONE_ROW = (np.array([0, 1]), np.array([0]), np.array([1.0]))
             ),
             "documents and model have different features",
         ),
+        (
+            lambda: soft_assign(
+                DocMatrix(("a",), (), np.ones((1, 2))),
+                TopicModel(1, (), np.ones((1, 3)), np.zeros(1, int)),
+            ),
+            "documents and model have different features",
+        ),
     ],
     ids=[
         "no-rows", "both-rows", "dense-row-count", "dense-one-dimensional", "csr-row-count",
         "distribution-one-dimensional", "tf_t-zero", "no-centroids", "other-features",
+        "other-width",
     ],
 )
 def test_refusals(make, message):
